@@ -1,5 +1,5 @@
 //! Plan-reuse benchmark: sweep wall-clock with a shared `ExecPlan` vs a
-//! fresh lowering per run, for each of the three engines.
+//! fresh lowering per run, for the event and lockstep engines.
 //!
 //! A sweep repeats the same `(guest, host, assignment, config)` point —
 //! across repeats, engines, and fault variants — so the lowering work
@@ -27,13 +27,12 @@ use overlap_net::topology::{linear_array, mesh2d};
 use overlap_net::{DelayModel, HostGraph};
 use overlap_sim::engine::{Engine, EngineConfig, RunOutcome};
 use overlap_sim::lockstep::run_lockstep;
-use overlap_sim::stepped::run_stepped;
 use overlap_sim::{Assignment, ExecPlan, PlanDelta};
 use std::time::Instant;
 
 /// One engine's measured sweep, with and without plan reuse.
 pub struct ReuseResult {
-    /// Engine label (`"event"`, `"stepped"`, `"lockstep"`).
+    /// Engine label (`"event"`, `"lockstep"`).
     pub engine: &'static str,
     /// Runs per sweep.
     pub repeats: u32,
@@ -102,7 +101,6 @@ pub fn measure(scale: Scale) -> Vec<ReuseResult> {
     type Runner = fn(&ExecPlan) -> RunOutcome;
     let engines: &[(&'static str, Runner)] = &[
         ("event", |p| Engine::from_plan(p).run().expect("event")),
-        ("stepped", |p| run_stepped(p).expect("stepped")),
         ("lockstep", |p| run_lockstep(p).expect("lockstep")),
     ];
 
@@ -276,7 +274,7 @@ mod tests {
     fn json_is_well_formed_and_reuse_pays() {
         let results = measure(Scale::Quick);
         let delta = measure_delta(Scale::Quick);
-        assert_eq!(results.len(), 3);
+        assert_eq!(results.len(), 2);
         let json = to_json(&results, &delta);
         assert!(json.contains("\"speedup\""));
         assert!(json.contains("\"delta_speedup\""));

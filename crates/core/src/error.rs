@@ -42,7 +42,7 @@ pub enum Error {
     /// (e.g. fault injection on the lockstep engine). Features are never
     /// silently dropped; pick the event engine or drop the option.
     Unsupported {
-        /// The executor that was asked (`"stepped"`, `"lockstep"`, …).
+        /// The executor that was asked (`"lockstep"`, `"sharded"`, …).
         engine: &'static str,
         /// The feature it does not implement.
         feature: &'static str,

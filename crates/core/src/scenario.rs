@@ -170,7 +170,7 @@ mod tests {
         let base = spec();
         let key = base.plan_key().unwrap();
         let mut varied = base.clone();
-        varied.engine = EngineKind::Stepped;
+        varied.engine = EngineKind::Lockstep;
         varied.faults = Some(FaultPlan::default());
         assert_eq!(varied.plan_key().unwrap(), key);
         // …but a different guest is a different plan.

@@ -35,9 +35,7 @@ use overlap_net::{Delay, HostGraph};
 use overlap_sim::engine::{Engine, EngineConfig, Jitter, MemBudget, RunOutcome};
 use overlap_sim::faults::FaultPlan;
 use overlap_sim::validate::validate_run;
-use overlap_sim::{
-    run_lockstep, run_sharded, run_stepped, Assignment, BandwidthMode, ExecPlan, TraceConfig,
-};
+use overlap_sim::{run_lockstep, run_sharded, Assignment, BandwidthMode, ExecPlan, TraceConfig};
 use serde::{Deserialize, Serialize};
 
 /// Which execution engine runs the simulation.
@@ -47,10 +45,6 @@ pub enum EngineKind {
     /// engine supporting multicast, jitter, and stall tracing).
     #[default]
     Event,
-    /// The tick-stepped engine (independent implementation, used for
-    /// cross-validation; supports compute costs and fault plans, but not
-    /// multicast, jitter, or tracing).
-    Stepped,
     /// The lockstep baseline: global rounds of `d_max`-synchronised
     /// compute-then-exchange (prior work's model).
     Lockstep,
@@ -145,7 +139,7 @@ impl<'a> SimulationBuilder<'a> {
     /// mode): evicted copies must be re-fetched for
     /// [`MemBudget::reload_cost`] extra ticks before the next compute.
     /// Pure timing/accounting — values are unchanged, so validation
-    /// still holds. Event, stepped, and sharded engines only.
+    /// still holds. Event and sharded engines only.
     pub fn memory_budget(mut self, budget: MemBudget) -> Self {
         self.config.mem = Some(budget);
         self
@@ -169,7 +163,7 @@ impl<'a> SimulationBuilder<'a> {
         self
     }
 
-    /// Inject a deterministic fault plan (event and stepped engines). An
+    /// Inject a deterministic fault plan (event and sharded engines). An
     /// empty plan is bit-identical to no plan.
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
@@ -232,17 +226,6 @@ impl<'a> SimulationBuilder<'a> {
                     if nonuniform_guest {
                         return unsupported("event (traced)", "non-uniform task graph");
                     }
-                }
-            }
-            EngineKind::Stepped => {
-                if self.trace.is_some() {
-                    return unsupported("stepped", "stall-attribution tracing");
-                }
-                if self.config.multicast {
-                    return unsupported("stepped", "multicast distribution");
-                }
-                if self.config.jitter != Jitter::None {
-                    return unsupported("stepped", "delay jitter");
                 }
             }
             EngineKind::Lockstep => {
@@ -388,7 +371,6 @@ impl ReadySimulation<'_> {
                     None => eng.run()?,
                 }
             }
-            EngineKind::Stepped => run_stepped(plan)?,
             EngineKind::Lockstep => run_lockstep(plan)?,
             EngineKind::Sharded { threads } => run_sharded(plan, threads)?,
         };
@@ -508,16 +490,16 @@ mod tests {
             .unwrap()
             .run()
             .unwrap();
-        let stepped = Simulation::of(&guest)
+        let sharded = Simulation::of(&guest)
             .on(&host)
             .strategy(Strategy::Blocked)
-            .engine(EngineKind::Stepped)
+            .engine(EngineKind::Sharded { threads: 2 })
             .build()
             .unwrap()
             .run()
             .unwrap();
-        assert!(event.validated && stepped.validated);
-        assert_eq!(event.stats.makespan, stepped.stats.makespan);
+        assert!(event.validated && sharded.validated);
+        assert_eq!(event.stats, sharded.stats);
         let lockstep = Simulation::of(&guest)
             .on(&host)
             .strategy(Strategy::Blocked)
@@ -566,12 +548,12 @@ mod tests {
     }
 
     #[test]
-    fn stepped_engine_supports_costs_and_faults() {
+    fn sharded_engine_supports_costs_and_faults() {
         let (guest, host) = lab();
         let base = Simulation::of(&guest)
             .on(&host)
             .strategy(Strategy::Halo { halo: 1 })
-            .engine(EngineKind::Stepped)
+            .engine(EngineKind::Sharded { threads: 2 })
             .build()
             .unwrap()
             .run()
@@ -579,7 +561,7 @@ mod tests {
         let costly = Simulation::of(&guest)
             .on(&host)
             .strategy(Strategy::Halo { halo: 1 })
-            .engine(EngineKind::Stepped)
+            .engine(EngineKind::Sharded { threads: 2 })
             .compute_costs(vec![1, 4, 1, 2])
             .build()
             .unwrap()
@@ -590,46 +572,15 @@ mod tests {
         let faulty = Simulation::of(&guest)
             .on(&host)
             .strategy(Strategy::Halo { halo: 1 })
-            .engine(EngineKind::Stepped)
+            .engine(EngineKind::Sharded { threads: 2 })
             .faults(FaultPlan::new().link_down(1, 2, 2, 40))
             .build()
             .unwrap()
             .run()
             .unwrap();
-        assert!(faulty.validated, "degraded stepped run must validate");
+        assert!(faulty.validated, "degraded sharded run must validate");
         assert!(faulty.stats.faults.retries > 0);
         assert!(faulty.stats.makespan >= base.stats.makespan);
-    }
-
-    #[test]
-    fn stepped_rejects_multicast_and_jitter_as_unsupported() {
-        let (guest, host) = lab();
-        let err = Simulation::of(&guest)
-            .on(&host)
-            .engine(EngineKind::Stepped)
-            .multicast(true)
-            .build()
-            .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                Error::Unsupported {
-                    engine: "stepped",
-                    feature: "multicast distribution"
-                }
-            ),
-            "{err}"
-        );
-        let err = Simulation::of(&guest)
-            .on(&host)
-            .engine(EngineKind::Stepped)
-            .jitter(Jitter::Periodic {
-                amplitude_pct: 50,
-                period: 4,
-            })
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, Error::Unsupported { .. }), "{err}");
     }
 
     #[test]
@@ -646,9 +597,11 @@ mod tests {
         let event = build(EngineKind::Event);
         let plan = event.build_plan().unwrap();
         let ev = event.run_plan(&plan).unwrap();
-        let st = build(EngineKind::Stepped).run_plan(&plan).unwrap();
+        let sh = build(EngineKind::Sharded { threads: 2 })
+            .run_plan(&plan)
+            .unwrap();
         let lk = build(EngineKind::Lockstep).run_plan(&plan).unwrap();
-        assert_eq!(ev.stats.makespan, st.stats.makespan);
+        assert_eq!(ev, sh);
         assert!(lk.stats.makespan >= ev.stats.makespan);
         // Re-running the same plan is bit-identical to run_raw's fresh
         // lowering.
@@ -813,7 +766,7 @@ mod tests {
     #[test]
     fn tracing_requires_event_engine() {
         let (guest, host) = lab();
-        for kind in [EngineKind::Stepped, EngineKind::Lockstep] {
+        for kind in [EngineKind::Sharded { threads: 2 }, EngineKind::Lockstep] {
             let err = Simulation::of(&guest)
                 .on(&host)
                 .engine(kind)
@@ -956,11 +909,7 @@ mod tests {
         let guest = GuestSpec::dag(TaskGraph::wavefront(12, 8), ProgramKind::KvWorkload, 5);
         let host = linear_array(4, DelayModel::uniform(1, 5), 2);
         let mut spans = Vec::new();
-        for kind in [
-            EngineKind::Event,
-            EngineKind::Stepped,
-            EngineKind::Sharded { threads: 2 },
-        ] {
+        for kind in [EngineKind::Event, EngineKind::Sharded { threads: 2 }] {
             let r = Simulation::of(&guest)
                 .on(&host)
                 .strategy(Strategy::Blocked)
@@ -973,7 +922,6 @@ mod tests {
             spans.push(r.stats.makespan);
         }
         assert_eq!(spans[0], spans[1]);
-        assert_eq!(spans[0], spans[2]);
         // Wavefront is uniform (unit costs), so lockstep runs it too.
         let lk = Simulation::of(&guest)
             .on(&host)

@@ -23,8 +23,7 @@ use overlap_sim::engine::{Engine, RunError, RunOutcome};
 use overlap_sim::trace::TraceConfig;
 use overlap_sim::validate::validate_run;
 use overlap_sim::{
-    run_lockstep_controlled, run_sharded_controlled, run_stepped_controlled, ExecPlan, PlanDelta,
-    RunControl,
+    run_lockstep_controlled, run_sharded_controlled, ExecPlan, PlanDelta, RunControl,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
@@ -546,7 +545,6 @@ fn dispatch(session: &Arc<Session>, plan: &ExecPlan<'static>) -> Result<RunOutco
                 eng.run()
             }
         }
-        EngineKind::Stepped => run_stepped_controlled(plan, Some(ctl)),
         EngineKind::Lockstep => run_lockstep_controlled(plan, Some(ctl)),
         EngineKind::Sharded { threads } => {
             run_sharded_controlled(plan, threads, overlap_sim::Partition::DelayCut, Some(ctl))
@@ -558,7 +556,6 @@ fn dispatch(session: &Arc<Session>, plan: &ExecPlan<'static>) -> Result<RunOutco
 fn engine_label(kind: EngineKind) -> String {
     match kind {
         EngineKind::Event => "event".into(),
-        EngineKind::Stepped => "stepped".into(),
         EngineKind::Lockstep => "lockstep".into(),
         EngineKind::Sharded { threads } => format!("sharded({threads})"),
     }

@@ -17,7 +17,9 @@
 //! | POST | `/v1/shutdown` | → `{"ok": true}`, then the daemon and server stop |
 //!
 //! Invalid scenarios come back as HTTP 400 with `{"error": …}` carrying
-//! the typed builder error's message; unknown sessions are 404.
+//! the typed builder error's message; unknown sessions are 404. A body
+//! larger than [`MAX_BODY_BYTES`] is a 400 too, refused before anything
+//! is allocated for it.
 
 use crate::daemon::Daemon;
 use crate::wire::{ErrorResponse, EventsResponse, OkResponse, RunsResponse, SubmitResponse};
@@ -31,6 +33,10 @@ use std::time::Duration;
 
 /// Longest long-poll wait a client may request.
 const MAX_WAIT_MS: u64 = 30_000;
+
+/// Largest request body the server reads. The body buffer is sized from
+/// `Content-Length`, so a larger claim is rejected before allocating.
+pub const MAX_BODY_BYTES: usize = 64 << 20;
 
 /// A running HTTP server. Stops when [`stop`](Server::stop) is called,
 /// a client POSTs `/v1/shutdown`, or the value is dropped.
@@ -222,6 +228,12 @@ fn read_request(stream: &mut TcpStream) -> io::Result<(String, String, String)> 
                 })?;
             }
         }
+    }
+    if content_length > MAX_BODY_BYTES {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("body of {content_length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"),
+        ));
     }
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body)?;

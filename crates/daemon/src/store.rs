@@ -13,7 +13,7 @@ use overlap_sim::stats::RunStats;
 use overlap_sim::trace::StallBreakdown;
 use serde::{Deserialize, Serialize};
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufWriter, Read, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -30,8 +30,8 @@ pub struct RunRecord {
     /// Whether the plan came out of the cache (`apply_delta` path) or
     /// was lowered fresh for this run.
     pub cache_hit: bool,
-    /// Engine label (`"event"`, `"stepped"`, `"lockstep"`,
-    /// `"sharded(t)"`).
+    /// Engine label (`"event"`, `"lockstep"`, `"sharded(t)"`). A plain
+    /// string, so records naming a since-removed engine still load.
     pub engine: String,
     /// Placement strategy label (see `Strategy::label`).
     pub strategy: String,
@@ -86,16 +86,32 @@ impl RunStore for MemStore {
 /// JSON-lines store: one `RunRecord` object per line, appended and
 /// flushed per run, re-read from disk on every query so records written
 /// by earlier daemon processes stay visible.
+///
+/// A crash mid-append can leave a final line without its newline. That
+/// record was never acknowledged, so [`load_all`](RunStore::load_all)
+/// skips it when it does not parse, and [`open`](Self::open) cuts it off
+/// so the next append starts on a fresh line. A malformed line anywhere
+/// else is an error.
 pub struct JsonlStore {
     path: PathBuf,
     writer: Mutex<BufWriter<File>>,
 }
 
 impl JsonlStore {
-    /// Open (or create) the store at `path`.
+    /// Open (or create) the store at `path`, repairing a torn final line
+    /// (a complete record only missing its newline gets one).
     pub fn open(path: impl AsRef<Path>) -> io::Result<Self> {
         let path = path.as_ref().to_path_buf();
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
+        let mut file = OpenOptions::new().create(true).append(true).open(&path)?;
+        let bytes = std::fs::read(&path)?;
+        let (complete, tail) = split_torn_tail(&bytes);
+        if !tail.is_empty() {
+            if parse_tail(tail).is_some() {
+                file.write_all(b"\n")?;
+            } else {
+                file.set_len(complete.len() as u64)?;
+            }
+        }
         Ok(Self {
             path,
             writer: Mutex::new(BufWriter::new(file)),
@@ -121,8 +137,10 @@ impl RunStore for JsonlStore {
         // Take the writer lock so a concurrent append's line is either
         // fully flushed or not started.
         let _w = self.writer.lock().unwrap();
-        let mut text = String::new();
-        File::open(&self.path)?.read_to_string(&mut text)?;
+        let bytes = std::fs::read(&self.path)?;
+        let (complete, tail) = split_torn_tail(&bytes);
+        let text = std::str::from_utf8(complete)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
         let mut out = Vec::new();
         for (i, line) in text.lines().enumerate() {
             if line.trim().is_empty() {
@@ -136,8 +154,22 @@ impl RunStore for JsonlStore {
             })?;
             out.push(rec);
         }
+        out.extend(parse_tail(tail));
         Ok(out)
     }
+}
+
+/// Split a store file into its newline-terminated lines and whatever
+/// follows the last newline (empty unless an append was torn).
+fn split_torn_tail(bytes: &[u8]) -> (&[u8], &[u8]) {
+    let cut = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+    bytes.split_at(cut)
+}
+
+/// The record on an unterminated final line, if it is a whole one.
+fn parse_tail(tail: &[u8]) -> Option<RunRecord> {
+    let text = std::str::from_utf8(tail).ok()?;
+    serde_json::from_str(text).ok()
 }
 
 #[cfg(test)]
@@ -170,13 +202,18 @@ mod tests {
         assert_eq!(all[1], record(1));
     }
 
-    #[test]
-    fn jsonl_store_survives_reopen() {
+    fn temp_store(name: &str) -> PathBuf {
         let path = std::env::temp_dir().join(format!(
-            "overlap-daemon-store-test-{}.jsonl",
+            "overlap-daemon-store-{name}-{}.jsonl",
             std::process::id()
         ));
         let _ = std::fs::remove_file(&path);
+        path
+    }
+
+    #[test]
+    fn jsonl_store_survives_reopen() {
+        let path = temp_store("reopen");
         {
             let s = JsonlStore::open(&path).unwrap();
             s.append(&record(0)).unwrap();
@@ -187,6 +224,75 @@ mod tests {
         assert_eq!(all.len(), 2, "records from the first open must persist");
         assert_eq!(all[0], record(0));
         assert_eq!(all[1], record(1));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    fn line(rec: &RunRecord) -> String {
+        serde_json::to_string(rec).unwrap() + "\n"
+    }
+
+    #[test]
+    fn torn_final_line_is_skipped_and_cut_on_reopen() {
+        let path = temp_store("torn");
+        let whole = line(&record(1));
+        std::fs::write(&path, line(&record(0)) + &whole[..whole.len() / 2]).unwrap();
+        let s = JsonlStore::open(&path).unwrap();
+        // A writer crashing mid-append tears the final line again.
+        std::fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .unwrap()
+            .write_all(&whole.as_bytes()[..whole.len() / 3])
+            .unwrap();
+        assert_eq!(s.load_all().unwrap(), vec![record(0)]);
+        drop(s);
+        // Reopening drops the torn bytes, so the next append starts a
+        // fresh line instead of gluing onto them.
+        let s = JsonlStore::open(&path).unwrap();
+        s.append(&record(2)).unwrap();
+        assert_eq!(s.load_all().unwrap(), vec![record(0), record(2)]);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn unterminated_whole_record_is_kept() {
+        let path = temp_store("unterminated");
+        let one = line(&record(1));
+        std::fs::write(&path, line(&record(0)) + one.trim_end()).unwrap();
+        let s = JsonlStore::open(&path).unwrap();
+        s.append(&record(2)).unwrap();
+        assert_eq!(s.load_all().unwrap(), vec![record(0), record(1), record(2)]);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn corrupt_middle_line_is_an_error() {
+        let path = temp_store("corrupt");
+        std::fs::write(
+            &path,
+            line(&record(0)) + "{\"run_id\": 1, \"sess\n" + &line(&record(2)),
+        )
+        .unwrap();
+        let err = JsonlStore::open(&path).unwrap().load_all().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains(":2:"), "{err}");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn records_of_removed_engines_still_load() {
+        // `engine` is a free-form label: a row written when the
+        // time-stepped engine still existed loads unchanged.
+        let path = temp_store("stepped");
+        let old = RunRecord {
+            engine: "stepped".into(),
+            ..record(0)
+        };
+        let row = line(&old);
+        assert!(row.contains("\"engine\":\"stepped\""), "{row}");
+        std::fs::write(&path, row).unwrap();
+        let all = JsonlStore::open(&path).unwrap().load_all().unwrap();
+        assert_eq!(all, vec![old]);
         let _ = std::fs::remove_file(&path);
     }
 }

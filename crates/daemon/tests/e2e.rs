@@ -1,6 +1,6 @@
 //! Daemon end-to-end tests: the determinism contract, the plan-cache
 //! `apply_delta` path, pause/resume bit-identity, restart persistence,
-//! and the HTTP round trip.
+//! the HTTP round trip, and typed rejection of malformed requests.
 
 use overlap_core::{EngineKind, ScenarioSpec, Strategy};
 use overlap_daemon::{Client, Daemon, DaemonConfig, Event, JsonlStore, MemStore, Status};
@@ -8,6 +8,8 @@ use overlap_model::{GuestSpec, ProgramKind};
 use overlap_net::topology::linear_array;
 use overlap_net::DelayModel;
 use overlap_sim::faults::FaultPlan;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -167,7 +169,6 @@ fn every_engine_matches_its_in_process_result() {
     let daemon = Daemon::start(DaemonConfig::default());
     for engine in [
         EngineKind::Event,
-        EngineKind::Stepped,
         EngineKind::Lockstep,
         EngineKind::Sharded { threads: 2 },
     ] {
@@ -183,7 +184,7 @@ fn every_engine_matches_its_in_process_result() {
             "{engine:?} daemon run must match in-process"
         );
     }
-    // One guest/host/config ⇒ one plan shared by all four engines.
+    // One guest/host/config ⇒ one plan shared by all three engines.
     assert_eq!(daemon.cache_stats().entries, 1);
     daemon.shutdown();
 }
@@ -283,4 +284,56 @@ fn http_round_trip() {
     client.shutdown().expect("shutdown");
     assert!(daemon.is_shut_down());
     server.stop();
+}
+
+/// Send `request` verbatim over a fresh connection; return the response.
+fn raw_request(addr: std::net::SocketAddr, request: &str) -> String {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.write_all(request.as_bytes()).expect("send");
+    let mut response = String::new();
+    stream.read_to_string(&mut response).expect("response");
+    response
+}
+
+#[test]
+fn removed_engine_name_is_a_typed_error_in_process_and_over_http() {
+    let json = serde_json::to_string(&spec(16, 16)).unwrap();
+    assert!(json.contains("\"engine\":\"Event\""), "{json}");
+    let stepped = json.replace("\"engine\":\"Event\"", "\"engine\":\"Stepped\"");
+    assert!(serde_json::from_str::<ScenarioSpec>(&stepped).is_err());
+
+    let daemon = Arc::new(Daemon::start(DaemonConfig::default()));
+    let mut server = overlap_daemon::serve(Arc::clone(&daemon), "127.0.0.1:0").unwrap();
+    let response = raw_request(
+        server.addr(),
+        &format!(
+            "POST /v1/scenarios HTTP/1.1\r\nContent-Length: {}\r\n\r\n{stepped}",
+            stepped.len()
+        ),
+    );
+    assert!(response.starts_with("HTTP/1.1 400 "), "{response}");
+    assert!(response.contains("malformed scenario"), "{response}");
+    // The daemon still answers the next request.
+    let client = Client::new(server.addr().to_string());
+    assert_eq!(client.cache().expect("daemon still serving").misses, 0);
+    server.stop();
+    daemon.shutdown();
+}
+
+#[test]
+fn oversized_body_is_refused_before_allocating() {
+    let daemon = Arc::new(Daemon::start(DaemonConfig::default()));
+    let mut server = overlap_daemon::serve(Arc::clone(&daemon), "127.0.0.1:0").unwrap();
+    for claimed in [400_000_000_000, overlap_daemon::http::MAX_BODY_BYTES + 1] {
+        let response = raw_request(
+            server.addr(),
+            &format!("POST /v1/scenarios HTTP/1.1\r\nContent-Length: {claimed}\r\n\r\n"),
+        );
+        assert!(response.starts_with("HTTP/1.1 400 "), "{response}");
+        assert!(response.contains("exceeds"), "{response}");
+    }
+    let client = Client::new(server.addr().to_string());
+    assert_eq!(client.cache().expect("daemon still serving").misses, 0);
+    server.stop();
+    daemon.shutdown();
 }

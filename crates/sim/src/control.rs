@@ -2,8 +2,8 @@
 //!
 //! Every engine's hot loop periodically calls
 //! [`RunControl::checkpoint`] (every [`CHECK_EVERY`] dispatch units —
-//! events for the event/sharded engines, ticks for the stepped engine,
-//! rounds for lockstep). A checkpoint:
+//! events for the event/sharded engines, rounds for lockstep). A
+//! checkpoint:
 //!
 //! * **blocks** while the control is paused (the simulation state is
 //!   untouched, so a paused-and-resumed run is bit-identical to an

@@ -540,7 +540,7 @@ pub(crate) struct LinkSlot {
 
 /// Deterministic per-processor LRU over database copies, driven by the
 /// compute schedule (touched once per compute *start*, in schedule order).
-/// Shared by the event, sharded and stepped engines; because the sharded
+/// Shared by the event and sharded engines; because the sharded
 /// engine replays the sequential per-processor compute order exactly, the
 /// LRU evolves bit-identically there too. Cloneable so the sharded engine
 /// can snapshot it at window barriers.
@@ -1608,7 +1608,7 @@ impl<'a> Engine<'a> {
         // Crashes scheduled beyond the last pebble still destroy their
         // processor's databases: the surviving set depends only on the
         // fault plan, never on an engine's timing model, so the event,
-        // stepped and classic engines report identical copies even when
+        // sharded and classic engines report identical copies even when
         // their makespans straddle a crash tick. No work is left to
         // forfeit and the run already completed, so a late crash cannot
         // retroactively make a column unrecoverable.

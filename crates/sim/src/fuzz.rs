@@ -1,8 +1,8 @@
 //! Cross-engine differential fuzzer and invariant audit.
 //!
 //! The repo's correctness story rests on one claim: the event engine, the
-//! sharded parallel engine, the time-stepped engine, the lockstep executor
-//! and the parallel reference all agree — bit-identically on state,
+//! sharded parallel engine, the lockstep executor, the frozen classic
+//! engine and the unit-delay reference all agree — bit-identically on state,
 //! sensibly on time — for *every* scenario the lowering accepts, not just
 //! the handful the unit tests pick. This module turns that claim into a
 //! machine-checkable property:
@@ -24,8 +24,12 @@
 //! # Invariant catalogue
 //!
 //! * **State agreement** — every engine's surviving copies match the
-//!   reference trace ([`validate_run`]); event vs stepped vs lockstep
-//!   agree on `(value_fold, db_digest, update_fold)` per `(cell, proc)`.
+//!   reference trace ([`validate_run`]); event vs lockstep agree on
+//!   `(value_fold, db_digest, update_fold)` per `(cell, proc)`.
+//! * **Classic oracle** — on fault-free scenarios the classic engine
+//!   supports (no task graphs, no memory budget), the event engine equals
+//!   the frozen seed engine ([`run_classic`]) bit-for-bit, message counts
+//!   included.
 //! * **Plan reuse** — running the event engine twice off one `ExecPlan`
 //!   is bit-identical (`RunOutcome` equality).
 //! * **Sharding is free** — the sharded conservative-parallel engine
@@ -47,16 +51,15 @@
 
 use crate::assignment::Assignment;
 use crate::engine::{Engine, EngineConfig, MemBudget, RunOutcome};
+use crate::engine_classic::run_classic;
 use crate::faults::FaultPlan;
 use crate::lockstep::run_lockstep;
-use crate::parallel::par_reference;
 use crate::plan::{ExecPlan, PlanDelta};
 use crate::sharded::{run_sharded_with, Partition};
 use crate::stats::FaultStats;
-use crate::stepped::run_stepped;
 use crate::trace::TraceConfig;
 use crate::validate::{audit_causality, validate_run};
-use overlap_model::{GuestSpec, ProgramKind, TaskGraph};
+use overlap_model::{GuestSpec, ProgramKind, ReferenceRun, TaskGraph};
 use overlap_net::topology;
 use overlap_net::{DelayModel, HostGraph, NodeId};
 
@@ -254,7 +257,7 @@ pub struct ScenarioSpec {
     /// Lower the plan for multicast trees instead of unicast routes.
     pub multicast: bool,
     /// Per-processor memory budget on database copies (red–blue pebbling
-    /// mode; event, stepped and sharded engines only).
+    /// mode; event and sharded engines only).
     pub mem: Option<MemBudget>,
     /// Scheduled faults.
     pub faults: Vec<FaultSpec>,
@@ -826,7 +829,7 @@ pub fn check_plan(spec: &ScenarioSpec, plan: &ExecPlan) -> Result<(), String> {
     let assign = plan.assignment();
     let mut problems: Vec<String> = Vec::new();
 
-    let reference = par_reference(guest);
+    let reference = ReferenceRun::execute(guest);
 
     // Event engine: the ground truth the others are compared against.
     let ev = match Engine::from_plan(plan).run() {
@@ -909,23 +912,18 @@ pub fn check_plan(spec: &ScenarioSpec, plan: &ExecPlan) -> Result<(), String> {
         }
     }
 
-    // Stepped engine: legal whenever the plan is unicast and jitter-free.
-    if !spec.multicast {
-        match run_stepped(plan) {
-            Ok(st) => {
-                for err in validate_run(&reference, &st) {
-                    problems.push(format!("stepped vs reference: {err:?}"));
-                }
-                audit_outcome("stepped", spec, guest, assign, &st, &mut problems);
-                audit_same_state("event vs stepped", &ev, &st, &mut problems);
-                if spec.faults.is_empty() && ev.stats.messages != st.stats.messages {
-                    problems.push(format!(
-                        "messages differ: event {} vs stepped {}",
-                        ev.stats.messages, st.stats.messages
-                    ));
-                }
-            }
-            Err(e) => problems.push(format!("stepped engine failed: {e}")),
+    // Classic oracle: the frozen seed engine has no fault, task-graph or
+    // memory-budget support; everywhere else the event engine must equal
+    // it bit-for-bit, message count included.
+    if spec.faults.is_empty() && spec.mem.is_none() && guest.graph.is_none() {
+        let config = plan.config();
+        match run_classic(guest, plan.host(), assign, config, plan.compute_costs()) {
+            Ok(cl) if cl != ev => problems.push(format!(
+                "event engine diverged from the classic oracle (messages: event {} vs classic {})",
+                ev.stats.messages, cl.stats.messages
+            )),
+            Ok(_) => {}
+            Err(e) => problems.push(format!("classic engine failed: {e}")),
         }
     }
 

@@ -44,12 +44,10 @@ pub mod faults;
 pub mod fuzz;
 pub mod lockstep;
 pub mod multicast;
-pub mod parallel;
 pub mod plan;
 pub mod routing;
 pub mod sharded;
 pub mod stats;
-pub mod stepped;
 pub mod sweep;
 pub mod trace;
 pub mod validate;
@@ -64,6 +62,5 @@ pub use plan::{fnv1a, scenario_hash, scenario_key, AppliedDelta, ExecPlan, PlanD
 pub use routing::RoutingTable;
 pub use sharded::{run_sharded, run_sharded_controlled, run_sharded_with, Partition};
 pub use stats::{FaultStats, RunStats};
-pub use stepped::{run_stepped, run_stepped_controlled};
 pub use trace::{MsgKey, NoopTracer, ReadyCause, StallBreakdown, TraceConfig, TraceReport, Tracer};
 pub use validate::{audit_causality, validate_run};

@@ -99,7 +99,7 @@ pub fn run_lockstep_controlled(
     // The closed-form makespan `steps × round_cost` assumes every pebble
     // costs one compute tick and every copy is always resident; weighted
     // task graphs and memory budgets would silently mis-time, so they are
-    // rejected up front (use the event/stepped/sharded engines).
+    // rejected up front (use the event or sharded engine).
     if plan.config().mem.is_some() {
         return Err(RunError::UnsupportedFeature {
             engine: "lockstep",

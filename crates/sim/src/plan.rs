@@ -18,14 +18,14 @@
 //!   arrays.
 //!
 //! All three engines consume a `&ExecPlan` ([`Engine::from_plan`],
-//! [`run_stepped`], [`run_lockstep`]) instead of re-lowering, so a sweep
+//! [`run_sharded`], [`run_lockstep`]) instead of re-lowering, so a sweep
 //! can build the plan once per `(host, strategy)` point and share it
 //! across repeats, engines, and fault variants. The plan also carries the
 //! run's compute costs and fault schedule; engines may override them per
 //! run without re-lowering.
 //!
 //! [`Engine::from_plan`]: crate::engine::Engine::from_plan
-//! [`run_stepped`]: crate::stepped::run_stepped
+//! [`run_sharded`]: crate::sharded::run_sharded
 //! [`run_lockstep`]: crate::lockstep::run_lockstep
 
 use crate::assignment::Assignment;
@@ -463,7 +463,7 @@ pub struct AppliedDelta {
 /// ```
 /// use overlap_sim::plan::ExecPlan;
 /// use overlap_sim::engine::{Engine, EngineConfig};
-/// use overlap_sim::{run_lockstep, run_stepped, Assignment};
+/// use overlap_sim::{run_lockstep, run_sharded, Assignment};
 /// use overlap_model::{GuestSpec, ProgramKind};
 /// use overlap_net::{topology, DelayModel};
 ///
@@ -473,10 +473,10 @@ pub struct AppliedDelta {
 /// let plan = ExecPlan::build(&guest, &host, &assign, EngineConfig::default()).unwrap();
 /// // All three engines execute the same lowered plan.
 /// let ev = Engine::from_plan(&plan).run().unwrap();
-/// let st = run_stepped(&plan).unwrap();
+/// let sh = run_sharded(&plan, 2).unwrap();
 /// let lk = run_lockstep(&plan).unwrap();
-/// assert_eq!(ev.copies.len(), st.copies.len());
-/// assert_eq!(st.copies.len(), lk.copies.len());
+/// assert_eq!(ev, sh);
+/// assert_eq!(ev.copies.len(), lk.copies.len());
 /// ```
 pub struct ExecPlan<'a> {
     /// Borrowed from the caller by [`build`](Self::build); owned after

@@ -49,8 +49,8 @@ pub struct RunStats {
     /// event engine: each window's merge replays the global
     /// `(tick, prio, seq)` pop order and reconstructs the single-queue
     /// depth from per-event child counts, so this field is bit-comparable
-    /// across every [`EngineKind`](crate::engine). The stepped and
-    /// lockstep engines have no event queue and report 0.
+    /// across every [`EngineKind`](crate::engine). The lockstep engine
+    /// has no event queue and reports 0.
     #[serde(default)]
     pub peak_queue_depth: u64,
     /// Past-tick pushes the event calendar had to clamp forward to its

@@ -5,7 +5,6 @@ use overlap_net::topology::linear_array;
 use overlap_net::DelayModel;
 use overlap_sim::engine::{Engine, EngineConfig};
 use overlap_sim::lockstep::run_lockstep;
-use overlap_sim::stepped::run_stepped;
 use overlap_sim::validate::validate_run;
 use overlap_sim::{Assignment, BandwidthMode, ExecPlan};
 use proptest::prelude::*;
@@ -89,7 +88,7 @@ proptest! {
     }
 
     #[test]
-    fn event_and_stepped_engines_agree_on_all_state(
+    fn event_and_lockstep_engines_agree_on_all_state(
         procs in 2u32..7,
         cells_per in 1u32..4,
         steps in 1u32..12,
@@ -103,17 +102,23 @@ proptest! {
         let cfg = EngineConfig::default();
         let plan = ExecPlan::build(&guest, &host, &assign, cfg).expect("plan");
         let ev = Engine::from_plan(&plan).run().expect("event");
-        let st = run_stepped(&plan).expect("stepped");
+        let lk = run_lockstep(&plan).expect("lockstep");
+        let trace = ReferenceRun::execute(&guest);
+        prop_assert!(validate_run(&trace, &ev).is_empty());
+        prop_assert!(validate_run(&trace, &lk).is_empty());
         let mut a = ev.copies.clone();
-        let mut b = st.copies.clone();
+        let mut b = lk.copies.clone();
         a.sort_by_key(|c| (c.cell, c.proc));
         b.sort_by_key(|c| (c.cell, c.proc));
+        prop_assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
+            prop_assert_eq!((x.cell, x.proc), (y.cell, y.proc));
             prop_assert_eq!(x.value_fold, y.value_fold);
             prop_assert_eq!(x.db_digest, y.db_digest);
             prop_assert_eq!(x.update_fold, y.update_fold);
         }
-        prop_assert_eq!(ev.stats.messages, st.stats.messages);
+        prop_assert_eq!(ev.stats.messages, lk.stats.messages);
+        prop_assert!(ev.stats.makespan <= lk.stats.makespan);
     }
 
     #[test]

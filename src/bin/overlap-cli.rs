@@ -35,7 +35,7 @@
 //!   --strategy  auto | overlap[:C] | halo[:W] | combined[:C:L] | blocked |
 //!               slackness | all-on-one   (default overlap:4; grid guests
 //!               always use the Theorem 8 pipeline)
-//!   --engine    event | stepped | lockstep | sharded  (default event;
+//!   --engine    event | lockstep | sharded  (default event;
 //!               line/ring only; sharded is the conservative-parallel
 //!               engine, bit-identical to event)
 //!   --threads   worker threads for --engine sharded (default: all cores;
@@ -265,7 +265,6 @@ fn opt_in(args: &[String], name: &str, default: &str) -> String {
 fn parse_engine(engine: &str, args: &[String]) -> EngineKind {
     match engine {
         "event" => EngineKind::Event,
-        "stepped" => EngineKind::Stepped,
         "lockstep" => EngineKind::Lockstep,
         "sharded" => {
             let given = args.iter().any(|a| a == "--threads");
@@ -287,7 +286,6 @@ fn parse_engine(engine: &str, args: &[String]) -> EngineKind {
 fn engine_feature_label(kind: EngineKind) -> &'static str {
     match kind {
         EngineKind::Event => "event",
-        EngineKind::Stepped => "stepped",
         EngineKind::Lockstep => "lockstep",
         EngineKind::Sharded { .. } => "sharded",
     }
@@ -518,7 +516,7 @@ fn fuzz_main(args: &[String]) -> ! {
     let profile = if dag { " [dag profile]" } else { "" };
     println!(
         "fuzzing {cases} scenarios (seed {seed}){profile} across \
-         event/sharded/stepped/lockstep/reference…"
+         event/sharded/lockstep/classic/reference…"
     );
     let mut divergences = 0u64;
     for case in 0..cases {

@@ -11,11 +11,11 @@
 //! * [`net`] — the host network substrate (topologies, link delays,
 //!   embeddings, metrics);
 //! * [`sim`] — the NOW simulator: three execution engines (greedy
-//!   event-driven, parallel time-stepped, lockstep baseline) all consuming
-//!   one lowered [`ExecPlan`] (compile a placement once, run it anywhere),
-//!   unicast and multicast routing, the paper's bandwidth law, link jitter,
-//!   heterogeneous machine speeds, timing traces, and bit-exact validation
-//!   against the unit-delay reference;
+//!   event-driven, sharded conservative-parallel, lockstep baseline) all
+//!   consuming one lowered [`ExecPlan`] (compile a placement once, run it
+//!   anywhere), unicast and multicast routing, the paper's bandwidth law,
+//!   link jitter, heterogeneous machine speeds, timing traces, and
+//!   bit-exact validation against the unit-delay reference;
 //! * [`core`] — the paper's algorithms: the OVERLAP killing/labeling tree
 //!   and database assignment, the Theorem 1 schedule table, the
 //!   uniform-delay √d simulation, the combined √d̄·log³n simulation,

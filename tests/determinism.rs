@@ -1,6 +1,6 @@
 //! Determinism: the whole pipeline — topology generation, embedding,
 //! planning, simulation — is a pure function of its seeds, including when
-//! sweeps run under rayon.
+//! sweeps fan out across threads with `par_map`.
 
 use overlap::model::{fold64, GuestSpec, ProgramKind, ReferenceRun};
 use overlap::net::{topology, DelayModel, HostGraph};

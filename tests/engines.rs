@@ -1,15 +1,16 @@
-//! Three execution semantics, one lowered plan: every strategy's
-//! assignment is compiled once into an `ExecPlan`, and the event-driven
-//! engine, the parallel time-stepped engine, and the lockstep executor
-//! all consume that same plan. They must compute identical state, and
-//! their makespans must order sensibly (greedy ≤ lockstep).
+//! Three engines, one lowered plan: every strategy's assignment is
+//! compiled once into an `ExecPlan`, and the event-driven engine, the
+//! sharded conservative-parallel engine, and the lockstep executor all
+//! consume that same plan. They must compute identical state (sharded is
+//! bit-identical to event), and their makespans must order sensibly
+//! (greedy ≤ lockstep).
 
 use overlap::core::pipeline::{plan_line_placement, Strategy};
 use overlap::model::{GuestSpec, ProgramKind, ReferenceRun};
 use overlap::net::{topology, DelayModel};
 use overlap::sim::engine::{Engine, EngineConfig};
 use overlap::sim::lockstep::run_lockstep;
-use overlap::sim::stepped::run_stepped;
+use overlap::sim::sharded::run_sharded;
 use overlap::sim::validate::validate_run;
 use overlap::sim::{ExecPlan, RunOutcome};
 
@@ -58,16 +59,16 @@ fn all_three_engines_agree_on_state_from_one_plan() {
         )
         .expect("plan");
         let ev = Engine::from_plan(&plan).run().expect("event");
-        let st = run_stepped(&plan).expect("stepped");
+        let sh = run_sharded(&plan, 2).expect("sharded");
         let lk = run_lockstep(&plan).expect("lockstep");
-        for out in [&ev, &st, &lk] {
+        for out in [&ev, &sh, &lk] {
             assert!(
                 validate_run(&trace, out).is_empty(),
                 "{}: engine state mismatch",
                 s.label()
             );
         }
-        assert_same_state(&s.label(), &ev, &st);
+        assert_eq!(ev, sh, "{}: sharded diverged from event", s.label());
         assert_same_state(&s.label(), &ev, &lk);
         assert!(
             ev.stats.makespan <= lk.stats.makespan,
@@ -96,14 +97,13 @@ fn engines_agree_on_ring_fold_over_embedded_host() {
     )
     .expect("plan");
     let ev = Engine::from_plan(&plan).run().expect("event");
-    let st = run_stepped(&plan).expect("stepped");
+    let sh = run_sharded(&plan, 2).expect("sharded");
     let lk = run_lockstep(&plan).expect("lockstep");
     assert!(validate_run(&trace, &ev).is_empty());
-    assert!(validate_run(&trace, &st).is_empty());
     assert!(validate_run(&trace, &lk).is_empty());
-    assert_same_state("ring-fold", &ev, &st);
+    assert_eq!(ev, sh, "ring-fold: sharded diverged from event");
     assert_same_state("ring-fold", &ev, &lk);
-    assert_eq!(ev.stats.messages, st.stats.messages);
+    assert_eq!(ev.stats.messages, lk.stats.messages);
 }
 
 #[test]
@@ -211,7 +211,6 @@ fn pebble_grid_as_taskgraph_is_bit_identical_to_line_guest() {
     // same static tables as the native line guest and reproduce its full
     // `RunOutcome` — stats, copies, event counts — on all four engines.
     use overlap::model::TaskGraph;
-    use overlap::sim::sharded::run_sharded;
 
     let (m, steps) = (24u32, 10u32);
     let line = GuestSpec::array(m, ProgramKind::KvWorkload, 11, steps);
@@ -236,11 +235,6 @@ fn pebble_grid_as_taskgraph_is_bit_identical_to_line_guest() {
             Engine::from_plan(&pl_line).run().expect("event line"),
             Engine::from_plan(&pl_dag).run().expect("event dag"),
             "{label}: event"
-        );
-        assert_eq!(
-            run_stepped(&pl_line).expect("stepped line"),
-            run_stepped(&pl_dag).expect("stepped dag"),
-            "{label}: stepped"
         );
         assert_eq!(
             run_lockstep(&pl_line).expect("lockstep line"),

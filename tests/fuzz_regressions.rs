@@ -7,15 +7,14 @@ use overlap::model::ProgramKind;
 use overlap::net::DelayModel;
 use overlap::sim::engine::{Engine, EngineConfig, RunError};
 use overlap::sim::fuzz::{check_spec, AssignKind, FaultSpec, GuestKind, HostKind, ScenarioSpec};
-use overlap::sim::stepped::run_stepped;
-use overlap::sim::{Assignment, ExecPlan, FaultPlan};
+use overlap::sim::{run_sharded, Assignment, ExecPlan, FaultPlan};
 use overlap::{topology, GuestSpec};
 
 /// Fuzzer finding (seed 0, case 770, shrunk): a crash scheduled after an
 /// engine's last pebble fired in the event engine (which drains its queue
-/// by tick) but not in the stepped engine (whose loop exits at the last
-/// pebble), so the engines disagreed on the surviving copy set. Crashes
-/// now destroy storage regardless of engine timing.
+/// by tick) but not in the since-removed time-stepped engine (whose loop
+/// exited at the last pebble), so the engines disagreed on the surviving
+/// copy set. Crashes now destroy storage regardless of engine timing.
 #[test]
 fn fuzz_repro_seed0_case770_crash_after_completion() {
     let spec = ScenarioSpec {
@@ -60,9 +59,9 @@ fn fuzz_repro_seed0_case86_crash_straddles_makespans() {
     check_spec(&spec).expect("engines must agree");
 }
 
-/// Direct form of the finding: a crash far beyond both makespans still
-/// loses the victim's copies in *both* engines, and the fault counters
-/// agree with the plan.
+/// Direct form of the finding: a crash far beyond the makespan still
+/// loses the victim's copies in the event and sharded engines, and the
+/// fault counters agree with the plan.
 #[test]
 fn crash_beyond_makespan_still_destroys_copies() {
     let guest = GuestSpec::array(8, ProgramKind::KvWorkload, 3, 2);
@@ -82,8 +81,8 @@ fn crash_beyond_makespan_still_destroys_copies() {
         .with_faults(FaultPlan::new().crash(1, 1_000_000))
         .unwrap();
     let ev = Engine::from_plan(&plan).run().expect("event");
-    let st = run_stepped(&plan).expect("stepped");
-    for (label, out) in [("event", &ev), ("stepped", &st)] {
+    let sh = run_sharded(&plan, 2).expect("sharded");
+    for (label, out) in [("event", &ev), ("sharded", &sh)] {
         assert!(
             out.stats.makespan < 1_000_000,
             "{label}: the crash must be post-completion for this test"
@@ -96,7 +95,7 @@ fn crash_beyond_makespan_still_destroys_copies() {
     }
     assert_eq!(
         ev.copies.len(),
-        st.copies.len(),
+        sh.copies.len(),
         "engines must agree on the surviving set"
     );
 }
@@ -241,7 +240,6 @@ fn crash_recovery_without_a_route_is_an_error_not_a_panic() {
         tick: 1,
     };
     assert_eq!(Engine::from_plan(&plan).run().unwrap_err(), want, "event");
-    assert_eq!(run_stepped(&plan).unwrap_err(), want, "stepped");
     for threads in [1, 3] {
         for how in [Partition::DelayCut, Partition::RoundRobin] {
             assert_eq!(

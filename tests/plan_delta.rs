@@ -8,7 +8,7 @@
 
 use overlap::model::TaskGraph;
 use overlap::sim::engine::MemBudget;
-use overlap::sim::{run_lockstep, run_sharded_with, run_stepped, Partition};
+use overlap::sim::{run_lockstep, run_sharded_with, Partition};
 use overlap::{
     topology, Assignment, DelayModel, Engine, EngineConfig, ExecPlan, FaultPlan, GuestSpec,
     HostGraph, PlanDelta, ProgramKind, RunOutcome,
@@ -20,7 +20,6 @@ fn run_all(plan: &ExecPlan) -> Vec<(&'static str, Result<RunOutcome, String>)> {
     let mut out = Vec::new();
     let e = |r: Result<RunOutcome, overlap::RunError>| r.map_err(|e| e.to_string());
     out.push(("event", e(Engine::from_plan(plan).run())));
-    out.push(("stepped", e(run_stepped(plan))));
     for (threads, how) in [(1, Partition::DelayCut), (3, Partition::RoundRobin)] {
         out.push(("sharded", e(run_sharded_with(plan, threads, how))));
     }
@@ -205,9 +204,9 @@ fn unused_link_fast_path_and_relowering_slow_path() {
     let fresh = ExecPlan::build(&guest, &h3, &assign, EngineConfig::default()).unwrap();
     assert_eq!(plan.run().unwrap(), fresh.run().unwrap());
     assert_eq!(
-        run_stepped(&plan).unwrap(),
-        run_stepped(&fresh).unwrap(),
-        "stepped agrees after re-lowering"
+        run_lockstep(&plan).unwrap(),
+        run_lockstep(&fresh).unwrap(),
+        "lockstep agrees after re-lowering"
     );
 
     // Undo restores the base lowering bit-exactly.
