@@ -1,6 +1,10 @@
 //! Engine-scale benchmark: events/sec of the calendar-queue engine vs the
 //! frozen classic heap engine, plus a thread-count sweep of the sharded
-//! conservative-parallel engine, across growing scenario sizes.
+//! conservative-parallel engine, across growing scenario sizes. The
+//! full sweep adds one `KvWorkload` tier in the end-to-end benchmark's
+//! `kv_large` shape (65,536 cells × 16 steps on a 1024-processor
+//! heavy-tail line, OVERLAP c = 4), so the engines are also measured on
+//! the paper's motivating program, not only the cheapest one.
 //!
 //! The outcomes are asserted bit-identical before timing, so every
 //! speedup is a pure implementation delta. Results land in the usual
@@ -26,9 +30,11 @@
 
 use crate::Scale;
 use crate::Table;
+use overlap_core::pipeline::Strategy;
+use overlap_core::Simulation;
 use overlap_model::{GuestSpec, ProgramKind, TaskGraph};
 use overlap_net::topology::linear_array;
-use overlap_net::DelayModel;
+use overlap_net::{DelayModel, HostGraph};
 use overlap_sim::engine::{Engine, EngineConfig, RunOutcome};
 use overlap_sim::engine_classic::run_classic;
 use overlap_sim::{run_sharded, Assignment, ExecPlan};
@@ -47,6 +53,8 @@ pub struct ShardedPoint {
 
 /// One measured scale.
 pub struct ScaleResult {
+    /// Guest program of the tier.
+    pub program: ProgramKind,
     /// Host processors.
     pub procs: u32,
     /// Guest cells.
@@ -83,11 +91,31 @@ impl ScaleResult {
     }
 }
 
-fn scenario(procs: u32, cells: u32, steps: u32) -> (GuestSpec, overlap_net::HostGraph, Assignment) {
+/// A `Relaxation` tier: blocked placement on a uniform-delay line.
+fn measure_relaxation_tier(procs: u32, cells: u32, steps: u32, reps: u32) -> ScaleResult {
     let guest = GuestSpec::array(cells, ProgramKind::Relaxation, 3, steps);
     let host = linear_array(procs, DelayModel::uniform(1, 7), 5);
     let assign = Assignment::blocked(procs, cells);
-    (guest, host, assign)
+    measure_tier(&guest, &host, &assign, reps)
+}
+
+/// The `KvWorkload` tier in the end-to-end benchmark's `kv_large` shape:
+/// 65,536 cells × 16 steps on a 1024-processor heavy-tail line, placed by
+/// OVERLAP with c = 4.
+fn measure_kv_tier(reps: u32) -> ScaleResult {
+    let guest = GuestSpec::array(65_536, ProgramKind::KvWorkload, 11, 16);
+    let delays = DelayModel::HeavyTail {
+        min: 1,
+        alpha: 1.2,
+        cap: 64,
+    };
+    let host = linear_array(1024, delays, 13);
+    let sim = Simulation::of(&guest)
+        .on(&host)
+        .strategy(Strategy::Overlap { c: 4.0 })
+        .build()
+        .expect("OVERLAP placement");
+    measure_tier(&guest, &host, sim.assignment(), reps)
 }
 
 /// Best-of-`reps` wall time of `f` in seconds.
@@ -116,20 +144,29 @@ pub fn measure(scale: Scale) -> Vec<ScaleResult> {
         ],
     };
     let reps = scale.pick(3, 5);
-    scales
+    let mut results: Vec<ScaleResult> = scales
         .iter()
-        .map(|&(procs, cells, steps)| measure_tier(procs, cells, steps, reps))
-        .collect()
+        .map(|&(procs, cells, steps)| measure_relaxation_tier(procs, cells, steps, reps))
+        .collect();
+    if scale == Scale::Full {
+        results.push(measure_kv_tier(reps));
+    }
+    results
 }
 
-fn measure_tier(procs: u32, cells: u32, steps: u32, reps: u32) -> ScaleResult {
-    let (guest, host, assign) = scenario(procs, cells, steps);
+fn measure_tier(
+    guest: &GuestSpec,
+    host: &HostGraph,
+    assign: &Assignment,
+    reps: u32,
+) -> ScaleResult {
+    let (procs, cells, steps) = (host.num_nodes(), guest.num_cells(), guest.steps);
     let cfg = EngineConfig::default();
     // Lower once; every engine consumes the shared plan (classic excepted —
     // it predates the plan and rebuilds internally, part of its baseline).
-    let plan = ExecPlan::build(&guest, &host, &assign, cfg).expect("lower");
+    let plan = ExecPlan::build(guest, host, assign, cfg).expect("lower");
     let run_new = || -> RunOutcome { Engine::from_plan(&plan).run().expect("run") };
-    let run_old = || -> RunOutcome { run_classic(&guest, &host, &assign, cfg, None).expect("run") };
+    let run_old = || -> RunOutcome { run_classic(guest, host, assign, cfg, None).expect("run") };
     let out = run_new();
     assert_eq!(out, run_old(), "engines diverge at {procs}x{cells}x{steps}");
     // Identity first, timing after: the sharded engine must match bit for
@@ -159,6 +196,7 @@ fn measure_tier(procs: u32, cells: u32, steps: u32, reps: u32) -> ScaleResult {
         })
         .collect();
     ScaleResult {
+        program: guest.program,
         procs,
         cells,
         steps,
@@ -197,7 +235,8 @@ pub fn to_json(results: &[ScaleResult]) -> String {
             })
             .collect();
         out.push_str(&format!(
-            "    {{\"procs\": {}, \"cells\": {}, \"steps\": {}, \"events\": {}, \"makespan\": {}, \"peak_queue_depth\": {}, \"events_per_sec\": {:.0}, \"classic_events_per_sec\": {:.0}, \"speedup\": {:.2}, \"sharded\": [{}]}}{}\n",
+            "    {{\"program\": \"{:?}\", \"procs\": {}, \"cells\": {}, \"steps\": {}, \"events\": {}, \"makespan\": {}, \"peak_queue_depth\": {}, \"events_per_sec\": {:.0}, \"classic_events_per_sec\": {:.0}, \"speedup\": {:.2}, \"sharded\": [{}]}}{}\n",
+            r.program,
             r.procs,
             r.cells,
             r.steps,
@@ -225,8 +264,10 @@ pub fn run(scale: Scale) -> Table {
     let mut t = Table::new(
         "ENGINE · calendar-queue vs classic heap vs sharded parallel",
         &[
+            "program",
             "procs",
             "cells",
+            "steps",
             "events",
             "peak queue",
             "events/s (event)",
@@ -242,8 +283,10 @@ pub fn run(scale: Scale) -> Table {
             .map(|p| format!("{:.2}M", p.events_per_sec / 1e6))
             .collect();
         t.row(vec![
+            format!("{:?}", r.program),
             r.procs.to_string(),
             r.cells.to_string(),
+            r.steps.to_string(),
             r.events.to_string(),
             r.peak_queue_depth.to_string(),
             format!("{:.0}", r.events_per_sec),
@@ -401,7 +444,7 @@ pub fn gate() -> Result<String, String> {
     let f_taskgraph = json_number(&floor, "taskgraph_events_per_sec")
         .ok_or("floor file missing taskgraph_events_per_sec")?;
 
-    let r = measure_tier(64, 256, 32, 3);
+    let r = measure_relaxation_tier(64, 256, 32, 3);
     let taskgraph = measure_taskgraph_tier(3);
     let sharded = r
         .sharded
@@ -518,7 +561,7 @@ mod tests {
         assert!(json.contains("\"events_per_sec\""));
         assert!(json.contains("\"host_cores\""));
         assert!(json.contains("\"sharded\""));
-        assert_eq!(json.matches("{\"procs\"").count(), results.len());
+        assert_eq!(json.matches("{\"program\"").count(), results.len());
         for r in &results {
             assert!(r.events > 0 && r.events_per_sec > 0.0);
             assert_eq!(r.sharded.len(), THREAD_SWEEP.len());

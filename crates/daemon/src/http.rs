@@ -19,17 +19,20 @@
 //! Invalid scenarios come back as HTTP 400 with `{"error": …}` carrying
 //! the typed builder error's message; unknown sessions are 404. A body
 //! larger than [`MAX_BODY_BYTES`] is a 400 too, refused before anything
-//! is allocated for it.
+//! is allocated for it, and so is a request or header line longer than
+//! [`MAX_LINE_BYTES`] or a request with more than [`MAX_HEADERS`]
+//! header lines: the server never buffers more than that per request
+//! head.
 
 use crate::daemon::Daemon;
 use crate::wire::{ErrorResponse, EventsResponse, OkResponse, RunsResponse, SubmitResponse};
 use overlap_core::ScenarioSpec;
 use serde::Serialize;
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Longest long-poll wait a client may request.
 const MAX_WAIT_MS: u64 = 30_000;
@@ -37,6 +40,18 @@ const MAX_WAIT_MS: u64 = 30_000;
 /// Largest request body the server reads. The body buffer is sized from
 /// `Content-Length`, so a larger claim is rejected before allocating.
 pub const MAX_BODY_BYTES: usize = 64 << 20;
+
+/// Longest request or header line the server reads, line terminator
+/// included. A longer line is refused without reading the rest of it.
+pub const MAX_LINE_BYTES: usize = 8 << 10;
+
+/// Most header lines one request may carry.
+pub const MAX_HEADERS: usize = 100;
+
+/// After refusing a request, at most this many bytes of it are read and
+/// discarded, for at most [`DRAIN_TIME`] (see [`drain_refused`]).
+const MAX_DRAIN_BYTES: u64 = 4 << 20;
+const DRAIN_TIME: Duration = Duration::from_secs(2);
 
 /// A running HTTP server. Stops when [`stop`](Server::stop) is called,
 /// a client POSTs `/v1/shutdown`, or the value is dropped.
@@ -105,13 +120,15 @@ fn handle_connection(mut stream: TcpStream, daemon: &Daemon, stop: &AtomicBool) 
     let (method, path, body) = match read_request(&mut stream) {
         Ok(req) => req,
         Err(e) => {
-            return respond(
+            let sent = respond(
                 &mut stream,
                 400,
                 &ErrorResponse {
                     error: format!("bad request: {e}"),
                 },
             );
+            drain_refused(&mut stream);
+            return sent;
         }
     };
     let (raw_path, query) = match path.split_once('?') {
@@ -185,9 +202,11 @@ fn handle_connection(mut stream: TcpStream, daemon: &Daemon, stop: &AtomicBool) 
         },
         ("GET", ["v1", "cache"]) => respond(&mut stream, 200, &daemon.cache_stats()),
         ("POST", ["v1", "shutdown"]) => {
-            let r = respond(&mut stream, 200, &OkResponse { ok: true });
+            // Shut down before answering, so a client that got the answer
+            // can rely on the daemon being down.
             stop.store(true, Ordering::SeqCst);
             daemon.shutdown();
+            let r = respond(&mut stream, 200, &OkResponse { ok: true });
             // Unblock our own accept loop.
             if let Ok(addr) = stream.local_addr() {
                 let _ = TcpStream::connect(addr);
@@ -201,8 +220,7 @@ fn handle_connection(mut stream: TcpStream, daemon: &Daemon, stop: &AtomicBool) 
 /// Parse one request: `(method, path-with-query, body)`.
 fn read_request(stream: &mut TcpStream) -> io::Result<(String, String, String)> {
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
+    let line = read_line(&mut reader)?;
     let mut head = line.split_whitespace();
     let (method, path) = match (head.next(), head.next()) {
         (Some(m), Some(p)) => (m.to_string(), p.to_string()),
@@ -214,12 +232,19 @@ fn read_request(stream: &mut TcpStream) -> io::Result<(String, String, String)> 
         }
     };
     let mut content_length = 0usize;
+    let mut headers = 0usize;
     loop {
-        let mut header = String::new();
-        reader.read_line(&mut header)?;
+        let header = read_line(&mut reader)?;
         let header = header.trim_end();
         if header.is_empty() {
             break;
+        }
+        headers += 1;
+        if headers > MAX_HEADERS {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("more than {MAX_HEADERS} header lines"),
+            ));
         }
         if let Some((name, value)) = header.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
@@ -240,6 +265,39 @@ fn read_request(stream: &mut TcpStream) -> io::Result<(String, String, String)> 
     let body = String::from_utf8(body)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "body is not UTF-8"))?;
     Ok((method, path, body))
+}
+
+/// Close the sending side of a refused request's connection, then read
+/// and discard what the client is still sending, up to
+/// [`MAX_DRAIN_BYTES`] or [`DRAIN_TIME`]. Closing a socket with unread
+/// input resets the connection, and the reset can destroy the refusal
+/// before the client reads it.
+fn drain_refused(stream: &mut TcpStream) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let _ = stream.set_read_timeout(Some(DRAIN_TIME));
+    let deadline = Instant::now() + DRAIN_TIME;
+    let mut buf = [0u8; 8192];
+    let mut left = MAX_DRAIN_BYTES;
+    while left > 0 && Instant::now() < deadline {
+        match stream.read(&mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => left = left.saturating_sub(n as u64),
+        }
+    }
+}
+
+/// Read one line of at most [`MAX_LINE_BYTES`] bytes. Reading stops at
+/// the limit, so an endless line costs a bounded buffer, not memory.
+fn read_line(reader: &mut impl BufRead) -> io::Result<String> {
+    let mut line = String::new();
+    let n = reader.take(MAX_LINE_BYTES as u64).read_line(&mut line)?;
+    if n == MAX_LINE_BYTES && !line.ends_with('\n') {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("request line exceeds the {MAX_LINE_BYTES}-byte limit"),
+        ));
+    }
+    Ok(line)
 }
 
 fn query_u64(query: &str, name: &str) -> Option<u64> {

@@ -337,3 +337,51 @@ fn oversized_body_is_refused_before_allocating() {
     server.stop();
     daemon.shutdown();
 }
+
+/// Send `request` from a writer thread (the server may refuse it before
+/// reading it all, which fails the write) and return what the server
+/// answered before closing the connection.
+fn raw_request_unread(addr: std::net::SocketAddr, request: Vec<u8>) -> String {
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let send = std::thread::spawn(move || {
+        let _ = writer.write_all(&request);
+    });
+    let mut reader = stream;
+    let mut response = Vec::new();
+    let mut buf = [0u8; 4096];
+    // A reset after the response (unread request bytes) ends the read.
+    while let Ok(n @ 1..) = reader.read(&mut buf) {
+        response.extend_from_slice(&buf[..n]);
+    }
+    drop(reader);
+    send.join().expect("writer thread");
+    String::from_utf8_lossy(&response).into_owned()
+}
+
+#[test]
+fn overlong_header_line_and_header_flood_are_refused() {
+    let daemon = Arc::new(Daemon::start(DaemonConfig::default()));
+    let mut server = overlap_daemon::serve(Arc::clone(&daemon), "127.0.0.1:0").unwrap();
+    // One 1 MiB header line with no end in sight of the line limit.
+    let mut request = b"GET /v1/cache HTTP/1.1\r\nX-Pad: ".to_vec();
+    request.resize(request.len() + (1 << 20), b'a');
+    request.extend_from_slice(b"\r\n\r\n");
+    let response = raw_request_unread(server.addr(), request);
+    assert!(response.starts_with("HTTP/1.1 400 "), "{response}");
+    assert!(response.contains("byte limit"), "{response}");
+    // More header lines than the cap, each of them short.
+    let mut flood = String::from("GET /v1/cache HTTP/1.1\r\n");
+    for i in 0..=overlap_daemon::http::MAX_HEADERS {
+        flood.push_str(&format!("X-H{i}: 1\r\n"));
+    }
+    flood.push_str("\r\n");
+    let response = raw_request_unread(server.addr(), flood.into_bytes());
+    assert!(response.starts_with("HTTP/1.1 400 "), "{response}");
+    assert!(response.contains("header lines"), "{response}");
+    // The daemon still answers the next request.
+    let client = Client::new(server.addr().to_string());
+    assert_eq!(client.cache().expect("daemon still serving").misses, 0);
+    server.stop();
+    daemon.shutdown();
+}

@@ -22,6 +22,12 @@
 //! reproduces the original `(tick, sequence-number)` heap order exactly —
 //! `engine_classic` keeps that heap implementation as the oracle).
 //!
+//! The event rules themselves (compute, send, deliver, crash recovery)
+//! are written once in the crate-private `rules` module and shared with
+//! the [sharded engine](crate::sharded); this module owns the public
+//! types and the sequential loop: one calendar queue over every
+//! processor.
+//!
 //! # Hot-path layout
 //!
 //! All identity resolution is interned into dense index tables when the
@@ -38,17 +44,15 @@ use crate::assignment::Assignment;
 use crate::bandwidth::BandwidthMode;
 use crate::calendar::CalendarQueue;
 use crate::control::RunControl;
-use crate::faults::{FaultMark, FaultMarkKind, FaultPlan, FaultRt};
-use crate::plan::{DepSrc, ExecPlan, ProcTables, Routes, SUB_BIT};
+use crate::faults::{FaultMark, FaultPlan};
+use crate::plan::{ExecPlan, Routes};
 use crate::routing::RoutingTable;
-use crate::stats::{FaultStats, RunStats};
-use crate::trace::{MsgKey, NoopTracer, ReadyCause, StallTracer, TraceConfig, TraceReport, Tracer};
-use overlap_model::{fold64, Db, GuestSpec, PebbleValue, ProgramRef};
-use overlap_net::paths::dijkstra;
+use crate::rules::{Backend, Ev, Lane, LinkSlot, ProcState, Rules};
+use crate::stats::RunStats;
+use crate::trace::{NoopTracer, StallTracer, TraceConfig, TraceReport, Tracer};
+use overlap_model::GuestSpec;
 use overlap_net::{HostGraph, NodeId};
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
 
 /// Deterministic time-varying link-delay jitter: NOW latencies fluctuate
 /// (congestion, re-routing); the model's correctness is timing-independent
@@ -403,313 +407,6 @@ pub struct RunOutcome {
     pub trace: Option<TraceReport>,
 }
 
-/// Event payload, stored inline in the calendar buckets. Shared with the
-/// sharded engine ([`crate::sharded`]), which schedules the exact same
-/// events per shard.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Ev {
-    /// Processor `proc` finishes computing its `own_idx`-th column's next
-    /// step at the event tick.
-    ComputeDone { proc: NodeId, own_idx: u32 },
-    /// A streamed pebble reaches `path[hop]` of subscription `sub`.
-    Arrival {
-        sub: u32,
-        hop: u16,
-        step: u32,
-        value: PebbleValue,
-    },
-    /// A multicast pebble reaches tree node `node` of tree `tree`.
-    TreeHop {
-        tree: u32,
-        node: u32,
-        step: u32,
-        value: PebbleValue,
-    },
-    /// Retry a timed-out transfer toward `Arrival { sub, hop }` (the link
-    /// used is the one *into* `hop`). Only scheduled under a fault plan.
-    Resend {
-        sub: u32,
-        hop: u16,
-        step: u32,
-        value: PebbleValue,
-        attempt: u32,
-    },
-    /// Retry a timed-out transfer on the tree edge into `node`.
-    TreeResend {
-        tree: u32,
-        node: u32,
-        step: u32,
-        value: PebbleValue,
-        attempt: u32,
-    },
-    /// Processor `proc` crashes permanently at the event tick. Scheduled
-    /// at seed time, so it fires before same-tick compute/arrival events.
-    Crash { proc: NodeId },
-}
-
-/// Mutable per-processor run state. Step-indexed arrays are flat with
-/// stride `steps + 1` (index 0 = initial value). Shared with the sharded
-/// engine, which owns a disjoint subset of these per shard.
-pub(crate) struct ProcState {
-    /// Next step (1-based) to compute per held cell; `T+1` = done.
-    pub(crate) next_step: Vec<u32>,
-    /// Value history per held cell: `history[i·stride + s]`.
-    pub(crate) history: Vec<PebbleValue>,
-    /// Database copy per held cell.
-    pub(crate) dbs: Vec<Db>,
-    /// Value/update folds per held cell (validator food).
-    pub(crate) value_fold: Vec<u64>,
-    pub(crate) update_fold: Vec<u64>,
-    pub(crate) finished_at: Vec<u64>,
-    /// Per held cell: completion tick per step (only when timing).
-    pub(crate) times: Vec<Vec<u64>>,
-    /// Receive buffers per dependency column: `dep_values[k·stride + s]`.
-    pub(crate) dep_values: Vec<PebbleValue>,
-    pub(crate) dep_have: Vec<bool>,
-    /// Highest contiguous step received per dependency column.
-    pub(crate) dep_watermark: Vec<u32>,
-    /// Ready-pebble queue: `(step, own_idx)` min-heap; at most one entry
-    /// per held cell (its next step).
-    pub(crate) ready: BinaryHeap<Reverse<(u32, u32)>>,
-    /// Whether each held cell currently sits in `ready` or is being
-    /// computed.
-    pub(crate) queued: Vec<bool>,
-    /// Processor is computing until the pending `ComputeDone` fires.
-    pub(crate) busy: bool,
-}
-
-impl ProcState {
-    /// Fresh state for the processor described by `pt`, exactly as the
-    /// sequential engine seeds it (initial values at step 0, dependency
-    /// step 0 pre-delivered). Factored out so the sharded engine starts
-    /// from bit-identical state.
-    pub(crate) fn seed(
-        pt: &ProcTables,
-        plan: &ExecPlan<'_>,
-        stride: usize,
-        kind: overlap_model::DbKind,
-    ) -> Self {
-        let steps = plan.guest.steps;
-        let record_timing = plan.config.record_timing;
-        let nc = pt.cells.len();
-        let nd = pt.dep_cells.len();
-        let mut history = vec![0 as PebbleValue; nc * stride];
-        for (i, &c) in pt.cells.iter().enumerate() {
-            history[i * stride] = plan.guest.initial_value(c);
-        }
-        let mut dep_values = vec![0 as PebbleValue; nd * stride];
-        let mut dep_have = vec![false; nd * stride];
-        for (k, &c) in pt.dep_cells.iter().enumerate() {
-            dep_values[k * stride] = plan.guest.initial_value(c);
-            dep_have[k * stride] = true;
-        }
-        ProcState {
-            next_step: vec![1; nc],
-            history,
-            dbs: pt
-                .cells
-                .iter()
-                .map(|&c| kind.instantiate(c, plan.guest.seed))
-                .collect(),
-            value_fold: vec![0xF01Du64; nc],
-            update_fold: vec![0xD16u64; nc],
-            finished_at: vec![0; nc],
-            times: if record_timing {
-                (0..nc)
-                    .map(|_| Vec::with_capacity(steps as usize))
-                    .collect()
-            } else {
-                vec![Vec::new(); nc]
-            },
-            dep_values,
-            dep_have,
-            dep_watermark: vec![0; nd],
-            ready: BinaryHeap::new(),
-            queued: vec![false; nc],
-            busy: false,
-        }
-    }
-}
-
-/// Directed-link injection bookkeeping for pipelined bandwidth.
-#[derive(Clone, Copy, Default)]
-pub(crate) struct LinkSlot {
-    tick: u64,
-    count: u32,
-}
-
-/// Deterministic per-processor LRU over database copies, driven by the
-/// compute schedule (touched once per compute *start*, in schedule order).
-/// Shared by the event and sharded engines; because the sharded
-/// engine replays the sequential per-processor compute order exactly, the
-/// LRU evolves bit-identically there too. Cloneable so the sharded engine
-/// can snapshot it at window barriers.
-#[derive(Clone)]
-pub(crate) struct MemLru {
-    cap: usize,
-    reload: u64,
-    resident: Vec<bool>,
-    last_use: Vec<u64>,
-    clock: u64,
-    pub(crate) evictions: u64,
-    pub(crate) reloads: u64,
-    pub(crate) reload_ticks: u64,
-}
-
-impl MemLru {
-    /// Seed residency: the first `budget` copies in held-cell order are
-    /// resident with ascending use stamps (so stamps are always unique and
-    /// the eviction choice is total-ordered).
-    pub(crate) fn new(num_cells: usize, budget: u32, reload_cost: u32) -> Self {
-        let cap = (budget.max(1) as usize).min(num_cells.max(1));
-        let mut resident = vec![false; num_cells];
-        let mut last_use = vec![0u64; num_cells];
-        let mut clock = 0u64;
-        for (i, r) in resident.iter_mut().enumerate().take(cap) {
-            *r = true;
-            last_use[i] = clock;
-            clock += 1;
-        }
-        Self {
-            cap,
-            reload: reload_cost as u64,
-            resident,
-            last_use,
-            clock,
-            evictions: 0,
-            reloads: 0,
-            reload_ticks: 0,
-        }
-    }
-
-    /// Charge a compute start on held cell `i`: 0 extra ticks when the
-    /// copy is resident, else evict the LRU resident copy and charge the
-    /// reload cost. Returns the extra ticks.
-    pub(crate) fn touch(&mut self, i: usize) -> u64 {
-        if self.cap >= self.resident.len() {
-            return 0; // every copy fits; no accounting needed
-        }
-        if self.resident[i] {
-            self.last_use[i] = self.clock;
-            self.clock += 1;
-            return 0;
-        }
-        let victim = self
-            .resident
-            .iter()
-            .enumerate()
-            .filter(|&(_, &r)| r)
-            .min_by_key(|&(j, _)| (self.last_use[j], j))
-            .map(|(j, _)| j)
-            .expect("cap ≥ 1 resident copies");
-        self.resident[victim] = false;
-        self.evictions += 1;
-        self.resident[i] = true;
-        self.last_use[i] = self.clock;
-        self.clock += 1;
-        self.reloads += 1;
-        self.reload_ticks += self.reload;
-        self.reload
-    }
-}
-
-/// Sum LRU counters over processors into the run's [`MemStats`].
-pub(crate) fn mem_stats_of(lrus: Option<&[MemLru]>) -> crate::stats::MemStats {
-    let mut out = crate::stats::MemStats::default();
-    if let Some(ms) = lrus {
-        for m in ms {
-            out.evictions += m.evictions;
-            out.reloads += m.reloads;
-            out.reload_ticks += m.reload_ticks;
-        }
-    }
-    out
-}
-
-/// Is held cell `i` ready to compute its next step? Pure table walk over
-/// the interned check list — no hashing, no `Dep` matching.
-#[inline]
-pub(crate) fn is_ready(pt: &ProcTables, st: &ProcState, i: usize, steps: u32) -> bool {
-    let s = st.next_step[i];
-    if s > steps {
-        return false;
-    }
-    for &enc in pt.checks_at(i, s) {
-        if enc & SUB_BIT != 0 {
-            if st.dep_watermark[(enc & !SUB_BIT) as usize] < s - 1 {
-                return false;
-            }
-        } else if st.next_step[enc as usize] < s {
-            return false;
-        }
-    }
-    true
-}
-
-/// Queue held cell `j` if it is ready and not already queued/being run.
-/// `try_enqueue` succeeds at most once per (cell, step) — the `queued`
-/// flag — so the successful call's context is exactly the event that made
-/// the pebble ready, which is what `tracer` gets told.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn try_enqueue<T: Tracer>(
-    pt: &ProcTables,
-    st: &mut ProcState,
-    j: usize,
-    steps: u32,
-    proc: NodeId,
-    tick: u64,
-    cause: ReadyCause,
-    tracer: &mut T,
-) {
-    if !st.queued[j] && is_ready(pt, st, j, steps) {
-        st.ready.push(Reverse((st.next_step[j], j as u32)));
-        st.queued[j] = true;
-        tracer.on_enqueued(proc, j as u32, st.next_step[j], tick, cause);
-    }
-}
-
-/// Store a delivered pebble, advance the column watermark, and unblock the
-/// held cells waiting on it. `msg` identifies the delivering message for
-/// stall attribution.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn deliver<T: Tracer>(
-    pt: &ProcTables,
-    st: &mut ProcState,
-    k: usize,
-    step: u32,
-    value: PebbleValue,
-    steps: u32,
-    stride: usize,
-    proc: NodeId,
-    tick: u64,
-    msg: MsgKey,
-    tracer: &mut T,
-) {
-    let base = k * stride;
-    st.dep_values[base + step as usize] = value;
-    st.dep_have[base + step as usize] = true;
-    while (st.dep_watermark[k] as usize) < steps as usize
-        && st.dep_have[base + st.dep_watermark[k] as usize + 1]
-    {
-        st.dep_watermark[k] += 1;
-    }
-    for idx in pt.dep_dep_off[k] as usize..pt.dep_dep_off[k + 1] as usize {
-        let j = pt.dep_dependents[idx] as usize;
-        try_enqueue(
-            pt,
-            st,
-            j,
-            steps,
-            proc,
-            tick,
-            ReadyCause::Delivered(msg),
-            tracer,
-        );
-    }
-}
-
 /// The simulator: executes a guest under a database assignment on a host
 /// NOW, cycle-accurately (see the module docs for the exact semantics).
 ///
@@ -750,19 +447,6 @@ impl<'a> PlanRef<'a> {
             PlanRef::Shared(p) => p,
         }
     }
-}
-
-/// A runtime re-subscription created when a holder crashed: `source`
-/// streams `cell` to `dest` over `links` (directed link ids in route
-/// order), delivering into the consumer's dependency slot `dest_dep`.
-/// `Clone` because the sharded engine snapshots these per window.
-#[derive(Clone)]
-pub(crate) struct DynSub {
-    pub(crate) cell: u32,
-    pub(crate) source: NodeId,
-    pub(crate) dest: NodeId,
-    pub(crate) dest_dep: u32,
-    pub(crate) links: Vec<u32>,
 }
 
 impl<'a> Engine<'a> {
@@ -910,299 +594,41 @@ impl<'a> Engine<'a> {
             Ok(p) => p.get(),
             Err(e) => return Err(e.clone()),
         };
-        let routing = &plan.routes;
-        let hot = &plan.hot;
-        let n = plan.host.num_nodes();
-        let steps = plan.guest.steps;
-        let stride = steps as usize + 1;
-        let program: ProgramRef = plan.guest.program.instantiate();
-        let boundary = plan.guest.boundary();
-        let bw = plan.config.bandwidth.per_tick(n) as u64;
-        let record_timing = plan.config.record_timing;
-        let kind = program.db_kind();
-
-        // ---- per-processor mutable state ----
-        let mut state: Vec<ProcState> = hot
-            .procs
-            .iter()
-            .map(|pt| ProcState::seed(pt, plan, stride, kind))
-            .collect();
-
-        // ---- link slots for bandwidth accounting ----
-        let mut link_slots: Vec<LinkSlot> = vec![LinkSlot::default(); hot.link_delay.len()];
-        let mut link_traffic: Vec<u64> = vec![0; hot.link_delay.len()];
-
-        // ---- fault runtime (compiled only for a non-empty plan, so the
-        // fault-free path schedules the exact same events in the exact
-        // same order as an engine without a plan) ----
-        let frt: Option<FaultRt> = match self.faults.as_ref().or(plan.faults.as_ref()) {
-            Some(fp) if !fp.is_empty() => Some(FaultRt::build(fp, &plan.host)?),
-            _ => None,
-        };
-        let n_orig_subs = hot.sub_link_off.len() - 1;
-        let mut crashed: Vec<bool> = vec![false; if frt.is_some() { n as usize } else { 0 }];
-        let mut dyn_subs: Vec<DynSub> = Vec::new();
-        // Dynamic outbound routes per copy id (allocated on first crash).
-        let mut dyn_out: Vec<Vec<u32>> = Vec::new();
-        let mut fstats = FaultStats::default();
-        let mut fault_timeline: Vec<FaultMark> = Vec::new();
-        let mut total_forfeited = 0u64;
-
-        // ---- event queue ----
-        let mut queue: CalendarQueue<Ev> = CalendarQueue::new();
-        let mut peak_queue: usize = 0;
-        macro_rules! sched {
-            ($tick:expr, $ev:expr) => {{
-                queue.push($tick, $ev);
-                let l = queue.len();
-                if l > peak_queue {
-                    peak_queue = l;
-                }
-            }};
-        }
-
-        // Transmit one pebble over the link leading into `Arrival { sub,
-        // hop }` (original or dynamic subscription), charging bandwidth.
-        // Under a fault plan: delay spikes multiply the jittered delay, and
-        // a transfer overlapping a down interval is lost — the sender times
-        // out at the expected arrival tick and retries after exponential
-        // backoff ([`RetryPolicy`]); failed attempts still consume slots.
-        macro_rules! send_sub_hop {
-            ($now:expr, $sid:expr, $hop:expr, $step:expr, $value:expr, $attempt:expr) => {{
-                let sid = $sid as usize;
-                let lid = if sid < n_orig_subs {
-                    hot.sub_links[hot.sub_link_off[sid] as usize + $hop as usize - 1]
-                } else {
-                    dyn_subs[sid - n_orig_subs].links[$hop as usize - 1]
-                };
-                link_traffic[lid as usize] += 1;
-                let depart = inject(&mut link_slots[lid as usize], $now, bw);
-                tracer.on_link_inject(lid, depart);
-                let base = plan
-                    .config
-                    .jitter
-                    .effective(hot.link_delay[lid as usize], lid, depart);
-                match frt.as_ref() {
-                    None => sched!(
-                        depart + base,
-                        Ev::Arrival {
-                            sub: $sid,
-                            hop: $hop,
-                            step: $step,
-                            value: $value,
-                        }
-                    ),
-                    Some(f) => {
-                        let arrive = depart + base * f.spike_factor(lid, depart);
-                        if !f.down_overlap(lid, depart, arrive) {
-                            sched!(
-                                arrive,
-                                Ev::Arrival {
-                                    sub: $sid,
-                                    hop: $hop,
-                                    step: $step,
-                                    value: $value,
-                                }
-                            );
-                        } else {
-                            let attempt = $attempt + 1;
-                            if attempt > f.retry.max_attempts {
-                                return Err(RunError::RetriesExhausted {
-                                    link: lid,
-                                    tick: arrive,
-                                });
-                            }
-                            let back = f.retry.backoff(attempt);
-                            fstats.retries += 1;
-                            fstats.fault_stall_ticks += arrive - $now + back;
-                            tracer.on_fault_wait(
-                                MsgKey::Sub {
-                                    sub: $sid,
-                                    step: $step,
-                                },
-                                arrive - $now + back,
-                            );
-                            if record_timing {
-                                fault_timeline.push(FaultMark {
-                                    tick: arrive,
-                                    kind: FaultMarkKind::LinkTimeout { link: lid },
-                                });
-                            }
-                            sched!(
-                                arrive + back,
-                                Ev::Resend {
-                                    sub: $sid,
-                                    hop: $hop,
-                                    step: $step,
-                                    value: $value,
-                                    attempt,
-                                }
-                            );
-                        }
-                    }
-                }
-            }};
-        }
-
-        // Same transmit logic for the multicast tree edge into `node`.
-        macro_rules! send_tree_hop {
-            ($now:expr, $tid:expr, $node:expr, $step:expr, $value:expr, $attempt:expr) => {{
-                let lid = hot.tree_edge_lid[$tid as usize][$node as usize];
-                link_traffic[lid as usize] += 1;
-                let depart = inject(&mut link_slots[lid as usize], $now, bw);
-                tracer.on_link_inject(lid, depart);
-                let base = plan
-                    .config
-                    .jitter
-                    .effective(hot.link_delay[lid as usize], lid, depart);
-                match frt.as_ref() {
-                    None => sched!(
-                        depart + base,
-                        Ev::TreeHop {
-                            tree: $tid,
-                            node: $node,
-                            step: $step,
-                            value: $value,
-                        }
-                    ),
-                    Some(f) => {
-                        let arrive = depart + base * f.spike_factor(lid, depart);
-                        if !f.down_overlap(lid, depart, arrive) {
-                            sched!(
-                                arrive,
-                                Ev::TreeHop {
-                                    tree: $tid,
-                                    node: $node,
-                                    step: $step,
-                                    value: $value,
-                                }
-                            );
-                        } else {
-                            let attempt = $attempt + 1;
-                            if attempt > f.retry.max_attempts {
-                                return Err(RunError::RetriesExhausted {
-                                    link: lid,
-                                    tick: arrive,
-                                });
-                            }
-                            let back = f.retry.backoff(attempt);
-                            fstats.retries += 1;
-                            fstats.fault_stall_ticks += arrive - $now + back;
-                            tracer.on_fault_wait(
-                                MsgKey::Tree {
-                                    tree: $tid,
-                                    step: $step,
-                                },
-                                arrive - $now + back,
-                            );
-                            if record_timing {
-                                fault_timeline.push(FaultMark {
-                                    tick: arrive,
-                                    kind: FaultMarkKind::LinkTimeout { link: lid },
-                                });
-                            }
-                            sched!(
-                                arrive + back,
-                                Ev::TreeResend {
-                                    tree: $tid,
-                                    node: $node,
-                                    step: $step,
-                                    value: $value,
-                                    attempt,
-                                }
-                            );
-                        }
-                    }
-                }
-            }};
-        }
-
-        // Crash events go in first, so at their tick they pop before any
-        // same-tick compute completion or arrival (FIFO within a tick):
-        // a pebble finishing exactly at the crash tick does not complete.
-        if let Some(f) = frt.as_ref() {
-            for (p, &at) in f.crash_at.iter().enumerate() {
-                if at != u64::MAX {
-                    sched!(at, Ev::Crash { proc: p as NodeId });
-                }
-            }
-        }
-
-        let mut remaining: u64 = hot
-            .procs
-            .iter()
-            .map(|pt| pt.cells.len() as u64 * steps as u64)
-            .sum();
-        let total_compute = remaining;
-        let mut makespan = 0u64;
-        let mut messages = 0u64;
-        let mut pebble_hops = 0u64;
-        let mut events_processed = 0u64;
-
         let costs = self
             .compute_costs
             .as_deref()
             .or(plan.compute_costs.as_deref());
-        let cost_of = |p: usize| -> u64 { costs.map(|c| c[p] as u64).unwrap_or(1) };
-
-        // Task-graph extensions: per-task cost multipliers, relay slots,
-        // and the per-processor memory budget. All three are `false`/`None`
-        // for grid guests, so the static path is unchanged.
-        let has_task_costs = plan.guest.has_nonunit_task_costs();
-        let has_relays = plan.guest.graph.is_some();
-        let mut mem: Option<Vec<MemLru>> = plan.config.mem.map(|m| {
-            hot.procs
-                .iter()
-                .map(|pt| MemLru::new(pt.cells.len(), m.budget, m.reload_cost))
-                .collect()
-        });
-        // Ticks to compute held cell `j` of processor `p` starting now:
-        // processor speed × task cost, plus the memory-budget reload
-        // penalty (which also advances the LRU — call once per start).
-        macro_rules! compute_dur {
-            ($p:expr, $j:expr, $st:expr) => {{
-                let jj = $j as usize;
-                let mut d = cost_of($p);
-                if has_task_costs {
-                    d *= plan
-                        .guest
-                        .task_cost(hot.procs[$p].cells[jj], $st.next_step[jj])
-                        as u64;
-                }
-                if let Some(ms) = mem.as_mut() {
-                    d += ms[$p].touch(jj);
-                }
-                d
-            }};
+        // The fault runtime is compiled only for a non-empty plan, so the
+        // fault-free path schedules the exact same events in the exact
+        // same order as an engine without a plan.
+        let faults = self.faults.as_ref().or(plan.faults.as_ref());
+        let rules = Rules::new(plan, faults, costs)?;
+        let mut cr = rules.crashes();
+        let mut seq = Seq {
+            state: (0..plan.hot.procs.len())
+                .map(|p| rules.proc_state(p))
+                .collect(),
+            links: vec![LinkSlot::default(); plan.hot.link_delay.len()],
+            queue: CalendarQueue::new(),
+            peak: 0,
+            lane: rules.lane(),
+        };
+        // Crash events go in first, so at their tick they pop before any
+        // same-tick compute completion or arrival (FIFO within a tick):
+        // a pebble finishing exactly at the crash tick does not complete.
+        for (at, proc) in rules.crash_schedule() {
+            seq.push(at, proc, Ev::Crash { proc });
         }
+        rules.seed(&mut seq, tracer);
 
-        // Seed: enqueue every initially-ready pebble and start processors.
-        for (p, (pt, st)) in hot.procs.iter().zip(state.iter_mut()).enumerate() {
-            for i in 0..pt.cells.len() {
-                try_enqueue(pt, st, i, steps, p as NodeId, 0, ReadyCause::Local, tracer);
+        let total = rules.total_compute();
+        let max_ticks = plan.config.max_ticks;
+        let mut events_processed = 0u64;
+        while let Some((tick, ev)) = seq.queue.pop() {
+            if tick > max_ticks {
+                return Err(RunError::TickLimit(max_ticks));
             }
-            if let Some(Reverse((_s, i))) = st.ready.pop() {
-                st.busy = true;
-                tracer.on_start(p as NodeId, i, _s, 0);
-                let d = compute_dur!(p, i, st);
-                sched!(
-                    d,
-                    Ev::ComputeDone {
-                        proc: p as NodeId,
-                        own_idx: i,
-                    }
-                );
-            }
-        }
-
-        let mut deps_buf: Vec<PebbleValue> = Vec::with_capacity(plan.guest.max_deps());
-
-        // ---- main loop ----
-        while let Some((tick, ev)) = queue.pop() {
-            if tick > plan.config.max_ticks {
-                return Err(RunError::TickLimit(plan.config.max_ticks));
-            }
-            if remaining == 0 {
+            if seq.lane.completed + seq.lane.forfeited == total {
                 break;
             }
             events_processed += 1;
@@ -1212,512 +638,76 @@ impl<'a> Engine<'a> {
                 }
             }
             match ev {
-                Ev::ComputeDone { proc, own_idx } => {
-                    let p = proc as usize;
-                    // A crashed processor's in-flight pebble never
-                    // completes (its work was forfeited at crash time).
-                    if frt.is_some() && crashed[p] {
-                        continue;
-                    }
-                    let i = own_idx as usize;
-                    let pt = &hot.procs[p];
-                    let (cell, s) = (pt.cells[i], state[p].next_step[i]);
-                    debug_assert!(s <= steps);
-                    // Gather dependency values at step s-1 via the
-                    // interned source table.
-                    deps_buf.clear();
-                    {
-                        let st = &state[p];
-                        let sm1 = s as usize - 1;
-                        for &src in pt.gather_at(i, s) {
-                            deps_buf.push(match src {
-                                DepSrc::Boundary { side, offset } => {
-                                    boundary.value(side, offset, s)
-                                }
-                                DepSrc::Own(j) => st.history[j as usize * stride + sm1],
-                                DepSrc::Sub(k) => {
-                                    debug_assert!(st.dep_have[k as usize * stride + sm1]);
-                                    st.dep_values[k as usize * stride + sm1]
-                                }
-                            });
-                        }
-                    }
-                    let (v, u) = if has_relays && plan.guest.is_relay(cell, s) {
-                        // Relay slots repeat the lane's previous value and
-                        // leave the database untouched; DbUpdate::None still
-                        // folds into the update log (as in the reference).
-                        (deps_buf[0], overlap_model::DbUpdate::None)
-                    } else {
-                        program.compute(cell, s, &state[p].dbs[i], &deps_buf)
-                    };
-                    {
-                        let st = &mut state[p];
-                        st.dbs[i].apply(&u);
-                        st.history[i * stride + s as usize] = v;
-                        st.value_fold[i] = fold64(st.value_fold[i], v);
-                        st.update_fold[i] = fold64(st.update_fold[i], u.digest());
-                        st.next_step[i] = s + 1;
-                        st.queued[i] = false;
-                        st.busy = false;
-                        if record_timing {
-                            st.times[i].push(tick);
-                        }
-                        if s == steps {
-                            st.finished_at[i] = tick;
-                        }
-                    }
-                    tracer.on_compute_done(proc, own_idx, s, tick);
-                    remaining -= 1;
-                    makespan = makespan.max(tick);
-
-                    // Stream to subscribers: the per-copy route list holds
-                    // exactly this column's routes, in classic scan order.
-                    let cid = hot.copy_off[p] as usize + i;
-                    let routes =
-                        &hot.out_ids[hot.out_off[cid] as usize..hot.out_off[cid + 1] as usize];
-                    match routing {
-                        Routes::Unicast(_) => {
-                            for &sid in routes {
-                                messages += 1;
-                                let llo = hot.sub_link_off[sid as usize] as usize;
-                                let lhi = hot.sub_link_off[sid as usize + 1] as usize;
-                                pebble_hops += (lhi - llo) as u64;
-                                send_sub_hop!(tick, sid, 1u16, s, v, 0u32);
-                            }
-                        }
-                        Routes::Multicast(mt) => {
-                            for &tid in routes {
-                                messages += 1;
-                                let tree = &mt.trees[tid as usize];
-                                for &child in &tree.children[tree.root as usize] {
-                                    pebble_hops += 1;
-                                    send_tree_hop!(tick, tid, child, s, v, 0u32);
-                                }
-                            }
-                        }
-                    }
-                    // Stream to re-subscribed consumers (crash recovery).
-                    if !dyn_out.is_empty() {
-                        for &dsid in &dyn_out[cid] {
-                            messages += 1;
-                            pebble_hops += dyn_subs[dsid as usize - n_orig_subs].links.len() as u64;
-                            send_sub_hop!(tick, dsid, 1u16, s, v, 0u32);
-                        }
-                    }
-
-                    // Unblock: this column's next step, then the held
-                    // dependents — walked in place, no scratch list.
-                    {
-                        let st = &mut state[p];
-                        try_enqueue(pt, st, i, steps, proc, tick, ReadyCause::Local, tracer);
-                        for idx in pt.own_dep_off[i] as usize..pt.own_dep_off[i + 1] as usize {
-                            let j = pt.own_dependents[idx] as usize;
-                            try_enqueue(pt, st, j, steps, proc, tick, ReadyCause::Local, tracer);
-                        }
-                        if !st.busy {
-                            if let Some(Reverse((_s, j))) = st.ready.pop() {
-                                st.busy = true;
-                                tracer.on_start(proc, j, _s, tick);
-                                let d = compute_dur!(p, j, st);
-                                sched!(tick + d, Ev::ComputeDone { proc, own_idx: j });
-                            }
-                        }
-                    }
-                }
-                Ev::Arrival {
-                    sub,
-                    hop,
-                    step,
-                    value,
-                } => {
-                    let sid = sub as usize;
-                    let (nlinks, dest, dep) = if sid < n_orig_subs {
-                        let llo = hot.sub_link_off[sid] as usize;
-                        let lhi = hot.sub_link_off[sid + 1] as usize;
-                        (
-                            lhi - llo,
-                            hot.sub_dest[sid] as usize,
-                            hot.sub_dest_dep[sid] as usize,
-                        )
-                    } else {
-                        let ds = &dyn_subs[sid - n_orig_subs];
-                        (ds.links.len(), ds.dest as usize, ds.dest_dep as usize)
-                    };
-                    if (hop as usize) < nlinks {
-                        // Forward along the route (intermediate processors
-                        // store-and-forward even if crashed: the fabric
-                        // outlives the workstation's compute).
-                        send_sub_hop!(tick, sub, hop + 1, step, value, 0u32);
-                    } else if !(frt.is_some() && crashed[dest]) {
-                        // Delivery at the consumer.
-                        let p = dest;
-                        let pt = &hot.procs[p];
-                        let st = &mut state[p];
-                        deliver(
-                            pt,
-                            st,
-                            dep,
-                            step,
-                            value,
-                            steps,
-                            stride,
-                            p as NodeId,
-                            tick,
-                            MsgKey::Sub { sub, step },
-                            tracer,
-                        );
-                        if !st.busy {
-                            if let Some(Reverse((_s2, j))) = st.ready.pop() {
-                                st.busy = true;
-                                tracer.on_start(p as NodeId, j, _s2, tick);
-                                let d = compute_dur!(p, j, st);
-                                sched!(
-                                    tick + d,
-                                    Ev::ComputeDone {
-                                        proc: p as NodeId,
-                                        own_idx: j,
-                                    }
-                                );
-                            }
-                        }
-                    }
-                }
-                Ev::TreeHop {
-                    tree,
-                    node,
-                    step,
-                    value,
-                } => {
-                    let Routes::Multicast(mt) = routing else {
-                        unreachable!("tree hop in unicast mode");
-                    };
-                    let t = &mt.trees[tree as usize];
-                    // Forward to children (store-and-forward survives a
-                    // crash of the intermediate workstation).
-                    for &child in &t.children[node as usize] {
-                        pebble_hops += 1;
-                        send_tree_hop!(tick, tree, child, step, value, 0u32);
-                    }
-                    // Deliver locally if this node subscribes.
-                    let kdep = hot.tree_deliver_dep[tree as usize][node as usize];
-                    if kdep != u32::MAX {
-                        let p = t.nodes[node as usize] as usize;
-                        if !(frt.is_some() && crashed[p]) {
-                            let pt = &hot.procs[p];
-                            let st = &mut state[p];
-                            deliver(
-                                pt,
-                                st,
-                                kdep as usize,
-                                step,
-                                value,
-                                steps,
-                                stride,
-                                p as NodeId,
-                                tick,
-                                MsgKey::Tree { tree, step },
-                                tracer,
-                            );
-                            if !st.busy {
-                                if let Some(Reverse((_s2, j))) = st.ready.pop() {
-                                    st.busy = true;
-                                    tracer.on_start(p as NodeId, j, _s2, tick);
-                                    let d = compute_dur!(p, j, st);
-                                    sched!(
-                                        tick + d,
-                                        Ev::ComputeDone {
-                                            proc: p as NodeId,
-                                            own_idx: j,
-                                        }
-                                    );
-                                }
-                            }
-                        }
-                    }
-                }
-                Ev::Resend {
-                    sub,
-                    hop,
-                    step,
-                    value,
-                    attempt,
-                } => {
-                    send_sub_hop!(tick, sub, hop, step, value, attempt);
-                }
-                Ev::TreeResend {
-                    tree,
-                    node,
-                    step,
-                    value,
-                    attempt,
-                } => {
-                    send_tree_hop!(tick, tree, node, step, value, attempt);
-                }
-                Ev::Crash { proc } => {
-                    let p = proc as usize;
-                    let f = frt.as_ref().expect("crash event implies fault plan");
-                    if crashed[p] {
-                        continue;
-                    }
-                    crashed[p] = true;
-                    tracer.on_crash(proc);
-                    fstats.crashed_procs += 1;
-                    let pt = &hot.procs[p];
-                    fstats.lost_copies += pt.cells.len() as u32;
-                    if record_timing {
-                        fault_timeline.push(FaultMark {
-                            tick,
-                            kind: FaultMarkKind::Crash { proc },
-                        });
-                    }
-                    // Forfeit this processor's uncomputed pebbles — its
-                    // pending ComputeDone (if any) is dropped by the crash
-                    // guard, so subtract the in-flight pebble too.
-                    let forfeited: u64 = state[p]
-                        .next_step
-                        .iter()
-                        .map(|&ns| (steps + 1 - ns) as u64)
-                        .sum();
-                    remaining -= forfeited;
-                    total_forfeited += forfeited;
-
-                    // A column whose every copy is gone is unrecoverable.
-                    for &c in &pt.cells {
-                        let alive = plan.assign.holders(c).iter().any(|&q| !crashed[q as usize]);
-                        if !alive {
-                            return Err(RunError::ColumnLost { cell: c, tick });
-                        }
-                    }
-
-                    // Graceful degradation: every consumer this processor
-                    // was serving re-subscribes to the nearest surviving
-                    // holder of the same database (the paper's redundancy,
-                    // exploited for recovery).
-                    let mut orphans: Vec<(u32, NodeId, u32)> = Vec::new();
-                    match routing {
-                        Routes::Unicast(rt) => {
-                            for (sid, sub) in rt.subs.iter().enumerate() {
-                                if sub.source == proc && !crashed[sub.dest as usize] {
-                                    orphans.push((sub.cell, sub.dest, hot.sub_dest_dep[sid]));
-                                }
-                            }
-                        }
-                        Routes::Multicast(mt) => {
-                            for (tid, t) in mt.trees.iter().enumerate() {
-                                if t.source != proc {
-                                    continue;
-                                }
-                                for (v, &del) in t.deliver.iter().enumerate() {
-                                    if del && !crashed[t.nodes[v] as usize] {
-                                        orphans.push((
-                                            t.cell,
-                                            t.nodes[v],
-                                            hot.tree_deliver_dep[tid][v],
-                                        ));
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    for ds in &dyn_subs {
-                        if ds.source == proc && !crashed[ds.dest as usize] {
-                            orphans.push((ds.cell, ds.dest, ds.dest_dep));
-                        }
-                    }
-
-                    if !orphans.is_empty() && dyn_out.is_empty() {
-                        dyn_out = vec![Vec::new(); *hot.copy_off.last().unwrap() as usize];
-                    }
-                    // One Dijkstra per distinct consumer (consumer-rooted:
-                    // the host is undirected, so the reversed path serves
-                    // holder → consumer).
-                    let mut sp_cache: HashMap<NodeId, overlap_net::paths::PathResult> =
-                        HashMap::new();
-                    for (cell, dest, dest_dep) in orphans {
-                        let sp = sp_cache
-                            .entry(dest)
-                            .or_insert_with(|| dijkstra(&plan.host, dest));
-                        let best = plan
-                            .assign
-                            .holders(cell)
-                            .iter()
-                            .copied()
-                            .filter(|&q| !crashed[q as usize])
-                            .min_by_key(|&q| (sp.dist[q as usize], q))
-                            .expect("surviving holder checked above");
-                        let Some(mut path) = sp.path_to(best) else {
-                            return Err(RunError::NoRouteToHolder {
-                                cell,
-                                holder: best,
-                                consumer: dest,
-                                tick,
-                            });
-                        };
-                        path.reverse();
-                        let links: Vec<u32> =
-                            path.windows(2).map(|w| f.link_ids[&(w[0], w[1])]).collect();
-                        let nhops = links.len() as u64;
-                        let src_pt = &hot.procs[best as usize];
-                        let pos = src_pt
-                            .cells
-                            .binary_search(&cell)
-                            .expect("holder holds cell");
-                        let src_cid = hot.copy_off[best as usize] as usize + pos;
-                        let sid = (n_orig_subs + dyn_subs.len()) as u32;
-                        let computed = state[best as usize].next_step[pos] - 1;
-                        dyn_subs.push(DynSub {
-                            cell,
-                            source: best,
-                            dest,
-                            dest_dep,
-                            links,
-                        });
-                        dyn_out[src_cid].push(sid);
-                        tracer.on_reroute(sid, best, pos as u32);
-                        fstats.rerouted_subscriptions += 1;
-                        if record_timing {
-                            fault_timeline.push(FaultMark {
-                                tick,
-                                kind: FaultMarkKind::Reroute { cell, to: best },
-                            });
-                        }
-                        // Backfill every pebble the consumer may still be
-                        // missing, from its contiguous watermark up to the
-                        // new source's progress; later pebbles flow via the
-                        // dynamic route as the source computes them.
-                        // Duplicate deliveries are idempotent.
-                        let w = state[dest as usize].dep_watermark[dest_dep as usize];
-                        for s2 in (w + 1)..=computed {
-                            let value = state[best as usize].history[pos * stride + s2 as usize];
-                            messages += 1;
-                            pebble_hops += nhops;
-                            send_sub_hop!(tick, sid, 1u16, s2, value, 0u32);
-                        }
-                    }
-                }
+                Ev::Crash { proc } => rules.crash(&mut cr, &mut seq, tracer, tick, proc)?,
+                ev => rules.handle(&cr, &mut seq, tracer, tick, ev)?,
             }
         }
-
+        let remaining = total - seq.lane.completed - seq.lane.forfeited;
         if remaining > 0 {
             return Err(RunError::Deadlock {
-                tick: makespan,
+                tick: seq.lane.makespan,
                 remaining,
             });
         }
-
-        // Crashes scheduled beyond the last pebble still destroy their
-        // processor's databases: the surviving set depends only on the
-        // fault plan, never on an engine's timing model, so the event,
-        // sharded and classic engines report identical copies even when
-        // their makespans straddle a crash tick. No work is left to
-        // forfeit and the run already completed, so a late crash cannot
-        // retroactively make a column unrecoverable.
-        if let Some(f) = frt.as_ref() {
-            for (p, &at) in f.crash_at.iter().enumerate() {
-                if at != u64::MAX && !crashed[p] {
-                    crashed[p] = true;
-                    tracer.on_crash(p as NodeId);
-                    fstats.crashed_procs += 1;
-                    fstats.lost_copies += hot.procs[p].cells.len() as u32;
-                    if record_timing {
-                        fault_timeline.push(FaultMark {
-                            tick: at,
-                            kind: FaultMarkKind::Crash { proc: p as NodeId },
-                        });
-                    }
-                }
-            }
-        }
-
-        // ---- collect outcome (crashed processors' copies are lost) ----
-        let mut copies = Vec::with_capacity(plan.assign.total_copies());
-        let mut timing = record_timing.then(TimingTrace::default);
-        for (p, (st, pt)) in state.iter().zip(&hot.procs).enumerate() {
-            if frt.is_some() && crashed[p] {
-                continue;
-            }
-            for (i, &c) in pt.cells.iter().enumerate() {
-                copies.push(CopyRecord {
-                    cell: c,
-                    proc: p as NodeId,
-                    value_fold: st.value_fold[i],
-                    db_digest: st.dbs[i].digest(),
-                    update_fold: st.update_fold[i],
-                    finished_at: st.finished_at[i],
-                });
-                if let Some(t) = timing.as_mut() {
-                    t.ticks.push(st.times[i].clone());
-                }
-            }
-        }
-        if let Some(t) = timing.as_mut() {
-            t.fault_timeline = fault_timeline;
-        }
-        let stats = RunStats {
-            guest_cells: plan.guest.num_cells(),
-            guest_steps: steps,
-            host_procs: n,
-            makespan,
-            slowdown: if steps == 0 {
-                0.0
-            } else {
-                makespan as f64 / steps as f64
-            },
-            total_compute: total_compute - total_forfeited,
-            guest_work: plan.guest.total_work(),
-            redundancy: plan.assign.redundancy(),
-            load: plan.assign.load(),
-            active_procs: plan.assign.active_procs(),
-            messages,
-            pebble_hops,
-            subscriptions: routing.num_subscriptions(),
-            bandwidth_per_link: bw as u32,
-            busiest_link_pebbles: link_traffic.iter().copied().max().unwrap_or(0),
-            mean_link_pebbles: {
-                let active: Vec<u64> = link_traffic.iter().copied().filter(|&t| t > 0).collect();
-                if active.is_empty() {
-                    0.0
-                } else {
-                    active.iter().sum::<u64>() as f64 / active.len() as f64
-                }
-            },
+        rules.late_crashes(&mut cr, &mut seq.lane, tracer);
+        let Seq {
+            state,
+            links,
+            queue,
+            peak,
+            lane,
+        } = seq;
+        Ok(rules.outcome(
+            &cr,
+            |p| &state[p],
+            links.iter().map(|l| l.traffic),
+            lane,
             events_processed,
-            peak_queue_depth: peak_queue as u64,
-            queue_clamped_pushes: queue.clamped(),
-            faults: fstats,
-            stalls: None,
-            mem: mem_stats_of(mem.as_deref()),
-        };
-        Ok(RunOutcome {
-            stats,
-            copies,
-            timing,
-            trace: None,
-        })
+            peak as u64,
+            queue.clamped(),
+        ))
     }
 }
 
-/// Reserve an injection slot on a directed link: at most `bw` injections
-/// per tick, FIFO, never before `now`. Returns the departure tick.
-pub(crate) fn inject(slot: &mut LinkSlot, now: u64, bw: u64) -> u64 {
-    if slot.tick < now {
-        slot.tick = now;
-        slot.count = 0;
+/// The sequential engine's side of the event rules: every processor's
+/// state in one vector, one calendar queue, and the peak queue depth
+/// checked after every push.
+struct Seq {
+    state: Vec<ProcState>,
+    links: Vec<LinkSlot>,
+    queue: CalendarQueue<Ev>,
+    peak: usize,
+    lane: Lane,
+}
+
+impl Backend for Seq {
+    #[inline]
+    fn proc(&mut self, p: usize) -> &mut ProcState {
+        &mut self.state[p]
     }
-    if (slot.count as u64) < bw {
-        slot.count += 1;
-    } else {
-        slot.tick += 1;
-        slot.count = 1;
+
+    #[inline]
+    fn link(&mut self, lid: u32) -> &mut LinkSlot {
+        &mut self.links[lid as usize]
     }
-    slot.tick
+
+    #[inline]
+    fn push(&mut self, tick: u64, _owner: NodeId, ev: Ev) {
+        self.queue.push(tick, ev);
+        self.peak = self.peak.max(self.queue.len());
+    }
+
+    #[inline]
+    fn lane(&mut self) -> &mut Lane {
+        &mut self.lane
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine_classic::run_classic;
-    use overlap_model::{GuestSpec, ProgramKind, ReferenceRun};
+    use overlap_model::{fold64, GuestSpec, ProgramKind, ReferenceRun};
     use overlap_net::topology::linear_array;
     use overlap_net::DelayModel;
 

@@ -18,11 +18,10 @@
 //! re-exported from the crate root.
 
 use crate::assignment::Assignment;
-use crate::engine::{
-    inject, CopyRecord, EngineConfig, LinkSlot, RunError, RunOutcome, TimingTrace,
-};
+use crate::engine::{CopyRecord, EngineConfig, RunError, RunOutcome, TimingTrace};
 use crate::multicast::MulticastTable;
 use crate::routing::RoutingTable;
+use crate::rules::{inject, LinkSlot};
 use crate::stats::RunStats;
 use overlap_model::{fold64, Db, Dep, GuestSpec, PebbleValue, ProgramRef};
 use overlap_net::{Delay, HostGraph, NodeId};

@@ -9,13 +9,14 @@
 //!
 //! 1. [`gen_spec`] samples an arbitrary [`ScenarioSpec`] (guest topology
 //!    and program, host graph and delay model, assignment shape, compute
-//!    costs, multicast, fault schedule) from a seeded deterministic PRNG;
+//!    costs, multicast, memory budget, fault schedule, link-delay jitter)
+//!    from a seeded deterministic PRNG;
 //! 2. [`check_spec`] lowers the scenario **once** into an
 //!    [`ExecPlan`] and drives every engine the
 //!    scenario is legal for through it, auditing the invariant catalogue
 //!    below;
 //! 3. on a failure, [`shrink`] greedily simplifies the spec (drop faults,
-//!    clear costs, flatten delays, halve the guest/host) while the
+//!    clear costs, drop jitter, flatten delays, halve the guest/host) while the
 //!    failure persists — fault- and cost-only simplifications reuse one
 //!    lowering via [`ExecPlan::apply_delta`] — and
 //!    [`Divergence::repro_test`] prints the minimal scenario as a
@@ -47,10 +48,11 @@
 //!   [`FaultStats`]; every derived ratio
 //!   (slowdown, efficiency, work overhead, mean link pebbles) is finite.
 //! * **Time ordering** — the greedy event engine never loses to the
-//!   lockstep bound on the same plan.
+//!   lockstep bound on the same plan (jitter-free scenarios only: the
+//!   lockstep bound is computed from the base delays).
 
 use crate::assignment::Assignment;
-use crate::engine::{Engine, EngineConfig, MemBudget, RunOutcome};
+use crate::engine::{Engine, EngineConfig, Jitter, MemBudget, RunOutcome};
 use crate::engine_classic::run_classic;
 use crate::faults::FaultPlan;
 use crate::lockstep::run_lockstep;
@@ -261,9 +263,23 @@ pub struct ScenarioSpec {
     pub mem: Option<MemBudget>,
     /// Scheduled faults.
     pub faults: Vec<FaultSpec>,
+    /// Time-varying link-delay jitter.
+    pub jitter: Jitter,
 }
 
 impl ScenarioSpec {
+    /// The engine configuration this spec describes (timing is always
+    /// recorded, for the causality audit).
+    pub fn config(&self) -> EngineConfig {
+        EngineConfig {
+            multicast: self.multicast,
+            record_timing: true,
+            mem: self.mem,
+            jitter: self.jitter,
+            ..EngineConfig::default()
+        }
+    }
+
     /// Build the guest this spec describes.
     pub fn build_guest(&self) -> GuestSpec {
         let (p, s, t) = (self.program, self.guest_seed, self.steps);
@@ -438,12 +454,19 @@ impl ScenarioSpec {
                 .collect();
             format!("vec![{}]", items.join(", "))
         };
+        let jitter = match self.jitter {
+            Jitter::None => "Jitter::None".into(),
+            Jitter::Periodic {
+                amplitude_pct,
+                period,
+            } => format!("Jitter::Periodic {{ amplitude_pct: {amplitude_pct}, period: {period} }}"),
+        };
         format!(
             "ScenarioSpec {{\n        guest: {guest},\n        program: {program},\n        \
              steps: {steps},\n        guest_seed: {gseed},\n        host: {host},\n        \
              delays: {delays},\n        host_seed: {hseed},\n        assign: {assign},\n        \
              costs: {costs},\n        multicast: {multicast},\n        mem: {mem},\n        \
-             faults: {faults},\n    }}",
+             faults: {faults},\n        jitter: {jitter},\n    }}",
             steps = self.steps,
             gseed = self.guest_seed,
             hseed = self.host_seed,
@@ -541,6 +564,7 @@ pub fn gen_spec(seed: u64, case: u64) -> ScenarioSpec {
             multicast,
             mem: None,
             faults: vec![],
+            jitter: Jitter::None,
         };
         let links = spec_so_far.build_host().links().to_vec();
         for _ in 0..rng.range(1, 2) {
@@ -591,6 +615,16 @@ pub fn gen_spec(seed: u64, case: u64) -> ScenarioSpec {
         multicast,
         mem,
         faults,
+        // Drawn after every other field, so each case's other fields are
+        // the same as before jitter joined the stream.
+        jitter: if rng.chance(1, 6) {
+            Jitter::Periodic {
+                amplitude_pct: rng.range(1, 100) as u8,
+                period: rng.range(1, 32) as u32,
+            }
+        } else {
+            Jitter::None
+        },
     }
 }
 
@@ -794,15 +828,9 @@ pub fn check_spec(spec: &ScenarioSpec) -> Result<(), String> {
     let guest = spec.build_guest();
     let host = spec.build_host();
     let assign = spec.build_assignment();
-    let config = EngineConfig {
-        multicast: spec.multicast,
-        record_timing: true,
-        mem: spec.mem,
-        ..EngineConfig::default()
-    };
 
     // One lowering feeds everything below.
-    let mut plan = match ExecPlan::build(&guest, &host, &assign, config) {
+    let mut plan = match ExecPlan::build(&guest, &host, &assign, spec.config()) {
         Ok(p) => p,
         Err(e) => return Err(format!("plan lowering failed: {e}")),
     };
@@ -942,7 +970,11 @@ pub fn check_plan(spec: &ScenarioSpec, plan: &ExecPlan) -> Result<(), String> {
                     problems.push(format!("lockstep vs reference: {err:?}"));
                 }
                 audit_same_state("event vs lockstep", &ev, &lk, &mut problems);
-                if ev.stats.makespan > lk.stats.makespan {
+                // The lockstep makespan is a closed form over the base
+                // delays; jitter stretches some of the event engine's
+                // transfers beyond them, so the bound only holds without
+                // jitter.
+                if spec.jitter == Jitter::None && ev.stats.makespan > lk.stats.makespan {
                     problems.push(format!(
                         "greedy event makespan {} lost to lockstep bound {}",
                         ev.stats.makespan, lk.stats.makespan
@@ -1001,6 +1033,12 @@ fn candidates(spec: &ScenarioSpec) -> Vec<ScenarioSpec> {
     if spec.mem.is_some() {
         push(ScenarioSpec {
             mem: None,
+            ..spec.clone()
+        });
+    }
+    if spec.jitter != Jitter::None {
+        push(ScenarioSpec {
+            jitter: Jitter::None,
             ..spec.clone()
         });
     }
@@ -1165,13 +1203,7 @@ pub fn shrink(spec: &ScenarioSpec) -> (ScenarioSpec, String) {
         let guest = cur.build_guest();
         let host = cur.build_host();
         let assign = cur.build_assignment();
-        let config = EngineConfig {
-            multicast: cur.multicast,
-            record_timing: true,
-            mem: cur.mem,
-            ..EngineConfig::default()
-        };
-        let mut base = ExecPlan::build(&guest, &host, &assign, config)
+        let mut base = ExecPlan::build(&guest, &host, &assign, cur.config())
             .ok()
             .map(|p| match &cur.costs {
                 Some(c) => p.with_compute_costs(c.clone()),
@@ -1320,6 +1352,46 @@ mod tests {
     }
 
     #[test]
+    fn jittered_scenarios_are_drawn_and_checked() {
+        let jittered = (0..300)
+            .map(|c| gen_spec(0, c))
+            .filter(|s| s.jitter != Jitter::None)
+            .count();
+        assert!(jittered > 20, "only {jittered} of 300 cases drew jitter");
+        // Jitter can push the greedy makespan past the lockstep bound
+        // (which uses base delays); check_spec must not report that.
+        let spec = ScenarioSpec {
+            guest: GuestKind::Line(3),
+            program: ProgramKind::StencilSum,
+            steps: 8,
+            guest_seed: 1,
+            host: HostKind::Line(3),
+            delays: DelayModel::Constant(2),
+            host_seed: 1,
+            assign: AssignKind::Blocked,
+            costs: None,
+            multicast: false,
+            mem: None,
+            faults: vec![],
+            jitter: Jitter::Periodic {
+                amplitude_pct: 50,
+                period: 1,
+            },
+        };
+        let (guest, host, assign) = (
+            spec.build_guest(),
+            spec.build_host(),
+            spec.build_assignment(),
+        );
+        let plan = ExecPlan::build(&guest, &host, &assign, spec.config()).unwrap();
+        let ev = Engine::from_plan(&plan).run().unwrap();
+        let lk = run_lockstep(&plan).unwrap();
+        assert!(ev.stats.makespan > lk.stats.makespan);
+        check_spec(&spec).expect("lockstep time bound is skipped under jitter");
+        assert!(spec.to_code().contains("jitter: Jitter::Periodic"));
+    }
+
+    #[test]
     fn spec_to_code_is_paste_able() {
         let code = gen_spec(3, 17).to_code();
         assert!(code.contains("ScenarioSpec {"));
@@ -1351,6 +1423,10 @@ mod tests {
                 from: 0,
                 until: 10,
             }],
+            jitter: Jitter::Periodic {
+                amplitude_pct: 30,
+                period: 4,
+            },
         };
         assert!(check_spec(&spec).is_err());
         let (min, detail) = shrink(&spec);
@@ -1359,5 +1435,6 @@ mod tests {
         assert_eq!(min.faults.len(), 1, "the fault is the failure");
         assert!(min.costs.is_none(), "costs must shrink away");
         assert_eq!(min.steps, 1, "steps must shrink away");
+        assert_eq!(min.jitter, Jitter::None, "jitter must shrink away");
     }
 }

@@ -46,6 +46,7 @@ pub mod lockstep;
 pub mod multicast;
 pub mod plan;
 pub mod routing;
+mod rules;
 pub mod sharded;
 pub mod stats;
 pub mod sweep;

@@ -46,18 +46,20 @@
 //! crash tick, so re-subscription (which rewires global routing state)
 //! happens while the main thread owns every shard. See DESIGN.md §13
 //! for the full protocol and the safety argument.
+//!
+//! The event rules themselves are not written here: window events run
+//! through the same handlers as the sequential engine (the crate-private
+//! `rules` module), over a per-shard backend that routes pushes to the
+//! shard's fresh queue or cross-shard outbox and logs what the barrier
+//! may have to undo. Seeding and crashes run through those handlers too,
+//! over a barrier backend that reaches every shard.
 
 use crate::calendar::CalendarQueue;
-use crate::engine::{
-    deliver, inject, try_enqueue, CopyRecord, DynSub, Ev, Jitter, LinkSlot, ProcState, RunError,
-    RunOutcome, TimingTrace,
-};
-use crate::faults::{FaultMark, FaultMarkKind, FaultRt};
-use crate::plan::{DepSrc, ExecPlan, Routes};
-use crate::stats::{FaultStats, RunStats};
-use crate::trace::{MsgKey, NoopTracer, ReadyCause};
-use overlap_model::{fold64, BoundaryRule, PebbleValue, ProgramRef};
-use overlap_net::paths::dijkstra;
+use crate::engine::{Jitter, RunError, RunOutcome};
+use crate::faults::FaultMark;
+use crate::plan::ExecPlan;
+use crate::rules::{Backend, Crashes, Ev, Lane, LinkSlot, ProcState, Rules};
+use crate::trace::NoopTracer;
 use overlap_net::NodeId;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -211,7 +213,7 @@ struct OutMsg {
 /// Per-window log of processed events: everything the barrier needs to
 /// merge shards into the global order and to un-count events the
 /// sequential engine would never have processed. Columnar; `link_ids`
-/// and `marks` are CSR per entry.
+/// and the shard lane's fault marks are CSR per entry.
 #[derive(Default)]
 struct WinLog {
     tick: Vec<u64>,
@@ -228,14 +230,37 @@ struct WinLog {
     children: Vec<u32>,
     /// Global prio (`n_seeds + processing index`), assigned at merge.
     gprio: Vec<u64>,
-    /// Stat deltas to subtract if the entry is dropped at the cut.
+    /// Lane deltas to subtract if the entry is dropped at the cut.
     d_hops: Vec<u64>,
     d_retries: Vec<u64>,
     d_stall: Vec<u64>,
     link_off: Vec<u32>,
+    /// Links charged by the entries' sends, in order (pushed by
+    /// [`Window::link`]).
     link_ids: Vec<u32>,
+    /// Offsets into the shard lane's `timeline`.
     mark_off: Vec<u32>,
-    marks: Vec<FaultMark>,
+}
+
+/// The lane counters an entry may have to give back at the cut, read
+/// before and after processing it.
+#[derive(Clone, Copy)]
+struct LaneMark {
+    completed: u64,
+    hops: u64,
+    retries: u64,
+    stall: u64,
+}
+
+impl LaneMark {
+    fn of(l: &Lane) -> Self {
+        Self {
+            completed: l.completed,
+            hops: l.pebble_hops,
+            retries: l.faults.retries,
+            stall: l.faults.fault_stall_ticks,
+        }
+    }
 }
 
 impl WinLog {
@@ -250,26 +275,32 @@ impl WinLog {
         self.tick.len()
     }
 
-    fn begin(&mut self, tick: u64, key_prio: u64, key_pidx: u32, key_j: u32) -> usize {
-        let e = self.tick.len();
+    /// Log a processed event: its tick and key `(prio, pidx, j)`, the
+    /// children it pushed, and what it charged to `lane` since `before`.
+    fn push(
+        &mut self,
+        tick: u64,
+        key: (u64, u32, u32),
+        children: u32,
+        before: LaneMark,
+        lane: &Lane,
+    ) {
+        let after = LaneMark::of(lane);
         self.tick.push(tick);
-        self.key_prio.push(key_prio);
-        self.key_pidx.push(key_pidx);
-        self.key_j.push(key_j);
-        self.completed.push(false);
-        self.children.push(0);
+        self.key_prio.push(key.0);
+        self.key_pidx.push(key.1);
+        self.key_j.push(key.2);
+        self.completed.push(after.completed != before.completed);
+        self.children.push(children);
         self.gprio.push(u64::MAX);
-        self.d_hops.push(0);
-        self.d_retries.push(0);
-        self.d_stall.push(0);
-        e
-    }
-
-    fn close(&mut self) {
+        self.d_hops.push(after.hops - before.hops);
+        self.d_retries.push(after.retries - before.retries);
+        self.d_stall.push(after.stall - before.stall);
         self.link_off.push(self.link_ids.len() as u32);
-        self.mark_off.push(self.marks.len() as u32);
+        self.mark_off.push(lane.timeline.len() as u32);
     }
 
+    /// Empty every column, keeping the capacity for the next window.
     fn clear(&mut self) {
         self.tick.clear();
         self.key_prio.clear();
@@ -286,18 +317,7 @@ impl WinLog {
         self.link_ids.clear();
         self.mark_off.clear();
         self.mark_off.push(0);
-        self.marks.clear();
     }
-}
-
-/// Routing state shared read-only by all shards during a window. Only
-/// crash processing (which runs at barriers on the main thread) mutates
-/// it, via `Arc::make_mut`.
-#[derive(Default, Clone)]
-struct SharedRo {
-    crashed: Vec<bool>,
-    dyn_subs: Vec<DynSub>,
-    dyn_out: Vec<Vec<u32>>,
 }
 
 /// One shard: a disjoint set of processors plus everything needed to run
@@ -308,16 +328,13 @@ struct ShardState {
     fresh: CalendarQueue<FreshEv>,
     /// Per owned processor (dense local index, ascending global id).
     state: Vec<ProcState>,
-    /// Full-size link tables; a slot is only ever touched by the shard
+    /// Full-size link table; a slot is only ever touched by the shard
     /// owning the link's source processor, so shards never conflict.
     link_slots: Vec<LinkSlot>,
-    link_traffic: Vec<u64>,
-    // Run-long accumulators, summed at finalization.
-    messages: u64,
-    pebble_hops: u64,
-    retries: u64,
-    stall_ticks: u64,
-    makespan: u64,
+    /// Run-long counters, summed at finalization. The fault marks of the
+    /// current window live in `lane.timeline` until the barrier splices
+    /// them into the global timeline.
+    lane: Lane,
     // Window products, consumed at the barrier.
     log: WinLog,
     outbox: Vec<Vec<OutMsg>>,
@@ -325,631 +342,110 @@ struct ShardState {
     /// it; the barrier decides whether the sequential engine would have
     /// reached it.
     err: Option<(u32, RunError)>,
-    deps_buf: Vec<PebbleValue>,
-    /// Memory-budget LRU per owned processor (empty-slot `None` for
-    /// unbounded runs). Touched only from this shard's events, in the
-    /// same per-processor order as the sequential engine, so the charged
-    /// reload penalties are bit-identical.
-    mems: Vec<Option<crate::engine::MemLru>>,
 }
 
 /// Immutable per-run context shared by every worker.
 struct Env<'p, 'a> {
-    plan: &'p ExecPlan<'a>,
-    frt: Option<FaultRt>,
-    program: ProgramRef,
-    boundary: BoundaryRule,
-    bw: u64,
-    steps: u32,
-    stride: usize,
-    record_timing: bool,
-    n_orig_subs: usize,
-    n_seeds: u64,
+    rules: Rules<'p, 'a>,
     shard_of: Vec<u32>,
     local_of: Vec<u32>,
-    has_task_costs: bool,
-    has_relays: bool,
 }
 
-impl Env<'_, '_> {
-    fn cost_of(&self, p: usize) -> u64 {
-        self.plan
-            .compute_costs
-            .as_ref()
-            .map(|c| c[p] as u64)
-            .unwrap_or(1)
+/// The in-window side of the event rules: the shard's own processors and
+/// link slots, children pushed to `fresh` (same shard) or the outbox
+/// (other shard) keyed against log entry `entry`, and every charged link
+/// logged so the barrier can undo it.
+struct Window<'s, 'e, 'p, 'a> {
+    sh: &'s mut ShardState,
+    env: &'e Env<'p, 'a>,
+    entry: u32,
+    /// Children pushed so far.
+    j: u32,
+}
+
+impl Backend for Window<'_, '_, '_, '_> {
+    #[inline]
+    fn proc(&mut self, p: usize) -> &mut ProcState {
+        &mut self.sh.state[self.env.local_of[p] as usize]
+    }
+
+    #[inline]
+    fn link(&mut self, lid: u32) -> &mut LinkSlot {
+        self.sh.log.link_ids.push(lid);
+        &mut self.sh.link_slots[lid as usize]
+    }
+
+    #[inline]
+    fn push(&mut self, tick: u64, owner: NodeId, ev: Ev) {
+        let (pidx, j) = (self.entry, self.j);
+        self.j += 1;
+        let target = self.env.shard_of[owner as usize];
+        if target == self.sh.id {
+            self.sh.fresh.push(tick, FreshEv { pidx, j, ev });
+        } else {
+            self.sh.outbox[target as usize].push(OutMsg { tick, pidx, j, ev });
+        }
+    }
+
+    #[inline]
+    fn lane(&mut self) -> &mut Lane {
+        &mut self.sh.lane
     }
 }
 
-/// Duration of the compute that processor `p` (local index `lp`) is about
-/// to start on its held cell `jx` — the sharded mirror of the sequential
-/// engine's `compute_dur!`: per-processor cost × per-task weight, plus
-/// any memory-budget reload penalty (charged exactly once, at start).
-fn compute_dur(env: &Env<'_, '_>, sh: &mut ShardState, p: usize, lp: usize, jx: u32) -> u64 {
-    let mut d = env.cost_of(p);
-    if env.has_task_costs {
-        let pt = &env.plan.hot.procs[p];
-        let s = sh.state[lp].next_step[jx as usize];
-        d *= env.plan.guest.task_cost(pt.cells[jx as usize], s) as u64;
-    }
-    if let Some(m) = sh.mems[lp].as_mut() {
-        d += m.touch(jx as usize);
-    }
-    d
+/// The barrier side of the event rules (seeding and crashes), run on the
+/// main thread while it owns every shard: processors and link slots
+/// resolve to their owning shard, children go straight into their
+/// owner's resolved heap under key `(tick, prio, j)`, and counters are
+/// charged to the run-global `lane`.
+struct Barrier<'s, 'e, 'p, 'a> {
+    slots: &'s mut [Option<Box<ShardState>>],
+    env: &'e Env<'p, 'a>,
+    lane: &'s mut Lane,
+    prio: u64,
+    /// Children pushed so far.
+    j: u32,
 }
 
-/// Push a child event of log entry `parent` at `tick`, owned by
-/// processor `owner`: same shard → `fresh`, other shard → outbox.
-fn push_child(
-    env: &Env<'_, '_>,
-    sh: &mut ShardState,
-    parent: usize,
-    j: &mut u32,
-    tick: u64,
-    owner: NodeId,
-    ev: Ev,
-) {
-    let jj = *j;
-    *j += 1;
-    let target = env.shard_of[owner as usize];
-    if target == sh.id {
-        sh.fresh.push(
+impl Barrier<'_, '_, '_, '_> {
+    fn shard(&mut self, p: NodeId) -> &mut ShardState {
+        self.slots[self.env.shard_of[p as usize] as usize]
+            .as_mut()
+            .unwrap()
+    }
+}
+
+impl Backend for Barrier<'_, '_, '_, '_> {
+    fn proc(&mut self, p: usize) -> &mut ProcState {
+        let lp = self.env.local_of[p] as usize;
+        &mut self.shard(p as NodeId).state[lp]
+    }
+
+    fn link(&mut self, lid: u32) -> &mut LinkSlot {
+        let src = self.env.rules.plan.hot.link_src[lid as usize];
+        &mut self.shard(src).link_slots[lid as usize]
+    }
+
+    fn push(&mut self, tick: u64, owner: NodeId, ev: Ev) {
+        let key = EvKey {
             tick,
-            FreshEv {
-                pidx: parent as u32,
-                j: jj,
-                ev,
-            },
-        );
-    } else {
-        sh.outbox[target as usize].push(OutMsg {
-            tick,
-            pidx: parent as u32,
-            j: jj,
-            ev,
-        });
+            prio: self.prio,
+            j: self.j,
+        };
+        self.j += 1;
+        self.shard(owner).resolved.push(Reverse(RItem { key, ev }));
     }
-}
 
-/// Transmit one pebble over the link into `Arrival { sub, hop }` —
-/// the sharded mirror of the sequential engine's `send_sub_hop!`.
-#[allow(clippy::too_many_arguments)]
-fn send_sub(
-    env: &Env<'_, '_>,
-    sh: &mut ShardState,
-    ro: &SharedRo,
-    entry: usize,
-    j: &mut u32,
-    now: u64,
-    sid: u32,
-    hop: u16,
-    step: u32,
-    value: PebbleValue,
-    attempt: u32,
-) -> Result<(), RunError> {
-    let hot = &env.plan.hot;
-    let s = sid as usize;
-    let lid = if s < env.n_orig_subs {
-        hot.sub_links[hot.sub_link_off[s] as usize + hop as usize - 1]
-    } else {
-        ro.dyn_subs[s - env.n_orig_subs].links[hop as usize - 1]
-    };
-    let l = lid as usize;
-    sh.link_traffic[l] += 1;
-    sh.log.link_ids.push(lid);
-    let depart = inject(&mut sh.link_slots[l], now, env.bw);
-    let base = env
-        .plan
-        .config
-        .jitter
-        .effective(hot.link_delay[l], lid, depart);
-    match env.frt.as_ref() {
-        None => push_child(
-            env,
-            sh,
-            entry,
-            j,
-            depart + base,
-            hot.link_dst[l],
-            Ev::Arrival {
-                sub: sid,
-                hop,
-                step,
-                value,
-            },
-        ),
-        Some(f) => {
-            let arrive = depart + base * f.spike_factor(lid, depart);
-            if !f.down_overlap(lid, depart, arrive) {
-                push_child(
-                    env,
-                    sh,
-                    entry,
-                    j,
-                    arrive,
-                    hot.link_dst[l],
-                    Ev::Arrival {
-                        sub: sid,
-                        hop,
-                        step,
-                        value,
-                    },
-                );
-            } else {
-                let attempt = attempt + 1;
-                if attempt > f.retry.max_attempts {
-                    return Err(RunError::RetriesExhausted {
-                        link: lid,
-                        tick: arrive,
-                    });
-                }
-                let back = f.retry.backoff(attempt);
-                sh.retries += 1;
-                sh.log.d_retries[entry] += 1;
-                sh.stall_ticks += arrive - now + back;
-                sh.log.d_stall[entry] += arrive - now + back;
-                if env.record_timing {
-                    sh.log.marks.push(FaultMark {
-                        tick: arrive,
-                        kind: FaultMarkKind::LinkTimeout { link: lid },
-                    });
-                }
-                push_child(
-                    env,
-                    sh,
-                    entry,
-                    j,
-                    arrive + back,
-                    hot.link_src[l],
-                    Ev::Resend {
-                        sub: sid,
-                        hop,
-                        step,
-                        value,
-                        attempt,
-                    },
-                );
-            }
-        }
+    fn lane(&mut self) -> &mut Lane {
+        self.lane
     }
-    Ok(())
-}
-
-/// Transmit one pebble over the multicast tree edge into `node` —
-/// mirror of `send_tree_hop!`.
-#[allow(clippy::too_many_arguments)]
-fn send_tree(
-    env: &Env<'_, '_>,
-    sh: &mut ShardState,
-    tree_nodes: &[NodeId],
-    entry: usize,
-    j: &mut u32,
-    now: u64,
-    tid: u32,
-    node: u32,
-    step: u32,
-    value: PebbleValue,
-    attempt: u32,
-) -> Result<(), RunError> {
-    let hot = &env.plan.hot;
-    let lid = hot.tree_edge_lid[tid as usize][node as usize];
-    let l = lid as usize;
-    sh.link_traffic[l] += 1;
-    sh.log.link_ids.push(lid);
-    let depart = inject(&mut sh.link_slots[l], now, env.bw);
-    let base = env
-        .plan
-        .config
-        .jitter
-        .effective(hot.link_delay[l], lid, depart);
-    match env.frt.as_ref() {
-        None => push_child(
-            env,
-            sh,
-            entry,
-            j,
-            depart + base,
-            tree_nodes[node as usize],
-            Ev::TreeHop {
-                tree: tid,
-                node,
-                step,
-                value,
-            },
-        ),
-        Some(f) => {
-            let arrive = depart + base * f.spike_factor(lid, depart);
-            if !f.down_overlap(lid, depart, arrive) {
-                push_child(
-                    env,
-                    sh,
-                    entry,
-                    j,
-                    arrive,
-                    tree_nodes[node as usize],
-                    Ev::TreeHop {
-                        tree: tid,
-                        node,
-                        step,
-                        value,
-                    },
-                );
-            } else {
-                let attempt = attempt + 1;
-                if attempt > f.retry.max_attempts {
-                    return Err(RunError::RetriesExhausted {
-                        link: lid,
-                        tick: arrive,
-                    });
-                }
-                let back = f.retry.backoff(attempt);
-                sh.retries += 1;
-                sh.log.d_retries[entry] += 1;
-                sh.stall_ticks += arrive - now + back;
-                sh.log.d_stall[entry] += arrive - now + back;
-                if env.record_timing {
-                    sh.log.marks.push(FaultMark {
-                        tick: arrive,
-                        kind: FaultMarkKind::LinkTimeout { link: lid },
-                    });
-                }
-                push_child(
-                    env,
-                    sh,
-                    entry,
-                    j,
-                    arrive + back,
-                    hot.link_src[l],
-                    Ev::TreeResend {
-                        tree: tid,
-                        node,
-                        step,
-                        value,
-                        attempt,
-                    },
-                );
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Process one event on its shard — the mirror of the sequential match
-/// arms, with `sched!` replaced by [`push_child`]. `Crash` never appears
-/// here: crashes run at barriers.
-fn process_event(
-    env: &Env<'_, '_>,
-    sh: &mut ShardState,
-    ro: &SharedRo,
-    tick: u64,
-    ev: Ev,
-    entry: usize,
-) -> Result<(), RunError> {
-    let plan = env.plan;
-    let hot = &plan.hot;
-    let steps = env.steps;
-    let stride = env.stride;
-    let mut j: u32 = 0;
-    match ev {
-        Ev::ComputeDone { proc, own_idx } => {
-            let p = proc as usize;
-            if env.frt.is_some() && ro.crashed[p] {
-                return Ok(());
-            }
-            let i = own_idx as usize;
-            let pt = &hot.procs[p];
-            let lp = env.local_of[p] as usize;
-            let (cell, s) = (pt.cells[i], sh.state[lp].next_step[i]);
-            debug_assert!(s <= steps);
-            let mut deps = std::mem::take(&mut sh.deps_buf);
-            deps.clear();
-            {
-                let st = &sh.state[lp];
-                let sm1 = s as usize - 1;
-                for &src in pt.gather_at(i, s) {
-                    deps.push(match src {
-                        DepSrc::Boundary { side, offset } => env.boundary.value(side, offset, s),
-                        DepSrc::Own(o) => st.history[o as usize * stride + sm1],
-                        DepSrc::Sub(k) => {
-                            debug_assert!(st.dep_have[k as usize * stride + sm1]);
-                            st.dep_values[k as usize * stride + sm1]
-                        }
-                    });
-                }
-            }
-            let (v, u) = if env.has_relays && plan.guest.is_relay(cell, s) {
-                (deps[0], overlap_model::DbUpdate::None)
-            } else {
-                env.program.compute(cell, s, &sh.state[lp].dbs[i], &deps)
-            };
-            sh.deps_buf = deps;
-            {
-                let st = &mut sh.state[lp];
-                st.dbs[i].apply(&u);
-                st.history[i * stride + s as usize] = v;
-                st.value_fold[i] = fold64(st.value_fold[i], v);
-                st.update_fold[i] = fold64(st.update_fold[i], u.digest());
-                st.next_step[i] = s + 1;
-                st.queued[i] = false;
-                st.busy = false;
-                if env.record_timing {
-                    st.times[i].push(tick);
-                }
-                if s == steps {
-                    st.finished_at[i] = tick;
-                }
-            }
-            sh.log.completed[entry] = true;
-            sh.makespan = sh.makespan.max(tick);
-
-            let cid = hot.copy_off[p] as usize + i;
-            let routes = &hot.out_ids[hot.out_off[cid] as usize..hot.out_off[cid + 1] as usize];
-            match &plan.routes {
-                Routes::Unicast(_) => {
-                    for &sid in routes {
-                        sh.messages += 1;
-                        let llo = hot.sub_link_off[sid as usize] as usize;
-                        let lhi = hot.sub_link_off[sid as usize + 1] as usize;
-                        sh.pebble_hops += (lhi - llo) as u64;
-                        send_sub(env, sh, ro, entry, &mut j, tick, sid, 1, s, v, 0)?;
-                    }
-                }
-                Routes::Multicast(mt) => {
-                    for &tid in routes {
-                        sh.messages += 1;
-                        let tree = &mt.trees[tid as usize];
-                        for &child in &tree.children[tree.root as usize] {
-                            sh.pebble_hops += 1;
-                            send_tree(
-                                env,
-                                sh,
-                                &tree.nodes,
-                                entry,
-                                &mut j,
-                                tick,
-                                tid,
-                                child,
-                                s,
-                                v,
-                                0,
-                            )?;
-                        }
-                    }
-                }
-            }
-            if !ro.dyn_out.is_empty() {
-                for &dsid in &ro.dyn_out[cid] {
-                    sh.messages += 1;
-                    sh.pebble_hops +=
-                        ro.dyn_subs[dsid as usize - env.n_orig_subs].links.len() as u64;
-                    send_sub(env, sh, ro, entry, &mut j, tick, dsid, 1, s, v, 0)?;
-                }
-            }
-
-            let mut started = None;
-            {
-                let st = &mut sh.state[lp];
-                try_enqueue(
-                    pt,
-                    st,
-                    i,
-                    steps,
-                    proc,
-                    tick,
-                    ReadyCause::Local,
-                    &mut NoopTracer,
-                );
-                for idx in pt.own_dep_off[i] as usize..pt.own_dep_off[i + 1] as usize {
-                    let d = pt.own_dependents[idx] as usize;
-                    try_enqueue(
-                        pt,
-                        st,
-                        d,
-                        steps,
-                        proc,
-                        tick,
-                        ReadyCause::Local,
-                        &mut NoopTracer,
-                    );
-                }
-                if !st.busy {
-                    if let Some(Reverse((_s, jx))) = st.ready.pop() {
-                        st.busy = true;
-                        started = Some(jx);
-                    }
-                }
-            }
-            if let Some(jx) = started {
-                let d = compute_dur(env, sh, p, lp, jx);
-                push_child(
-                    env,
-                    sh,
-                    entry,
-                    &mut j,
-                    tick + d,
-                    proc,
-                    Ev::ComputeDone { proc, own_idx: jx },
-                );
-            }
-        }
-        Ev::Arrival {
-            sub,
-            hop,
-            step,
-            value,
-        } => {
-            let sid = sub as usize;
-            let (nlinks, dest, dep) = if sid < env.n_orig_subs {
-                let llo = hot.sub_link_off[sid] as usize;
-                let lhi = hot.sub_link_off[sid + 1] as usize;
-                (
-                    lhi - llo,
-                    hot.sub_dest[sid] as usize,
-                    hot.sub_dest_dep[sid] as usize,
-                )
-            } else {
-                let ds = &ro.dyn_subs[sid - env.n_orig_subs];
-                (ds.links.len(), ds.dest as usize, ds.dest_dep as usize)
-            };
-            if (hop as usize) < nlinks {
-                send_sub(
-                    env,
-                    sh,
-                    ro,
-                    entry,
-                    &mut j,
-                    tick,
-                    sub,
-                    hop + 1,
-                    step,
-                    value,
-                    0,
-                )?;
-            } else if !(env.frt.is_some() && ro.crashed[dest]) {
-                let p = dest;
-                let pt = &hot.procs[p];
-                let lp = env.local_of[p] as usize;
-                let mut started = None;
-                {
-                    let st = &mut sh.state[lp];
-                    deliver(
-                        pt,
-                        st,
-                        dep,
-                        step,
-                        value,
-                        steps,
-                        stride,
-                        p as NodeId,
-                        tick,
-                        MsgKey::Sub { sub, step },
-                        &mut NoopTracer,
-                    );
-                    if !st.busy {
-                        if let Some(Reverse((_s2, jx))) = st.ready.pop() {
-                            st.busy = true;
-                            started = Some(jx);
-                        }
-                    }
-                }
-                if let Some(jx) = started {
-                    let d = compute_dur(env, sh, p, lp, jx);
-                    push_child(
-                        env,
-                        sh,
-                        entry,
-                        &mut j,
-                        tick + d,
-                        p as NodeId,
-                        Ev::ComputeDone {
-                            proc: p as NodeId,
-                            own_idx: jx,
-                        },
-                    );
-                }
-            }
-        }
-        Ev::TreeHop {
-            tree,
-            node,
-            step,
-            value,
-        } => {
-            let Routes::Multicast(mt) = &plan.routes else {
-                unreachable!("tree hop in unicast mode");
-            };
-            let t = &mt.trees[tree as usize];
-            for &child in &t.children[node as usize] {
-                sh.pebble_hops += 1;
-                sh.log.d_hops[entry] += 1;
-                send_tree(
-                    env, sh, &t.nodes, entry, &mut j, tick, tree, child, step, value, 0,
-                )?;
-            }
-            let kdep = hot.tree_deliver_dep[tree as usize][node as usize];
-            if kdep != u32::MAX {
-                let p = t.nodes[node as usize] as usize;
-                if !(env.frt.is_some() && ro.crashed[p]) {
-                    let pt = &hot.procs[p];
-                    let lp = env.local_of[p] as usize;
-                    let mut started = None;
-                    {
-                        let st = &mut sh.state[lp];
-                        deliver(
-                            pt,
-                            st,
-                            kdep as usize,
-                            step,
-                            value,
-                            steps,
-                            stride,
-                            p as NodeId,
-                            tick,
-                            MsgKey::Tree { tree, step },
-                            &mut NoopTracer,
-                        );
-                        if !st.busy {
-                            if let Some(Reverse((_s2, jx))) = st.ready.pop() {
-                                st.busy = true;
-                                started = Some(jx);
-                            }
-                        }
-                    }
-                    if let Some(jx) = started {
-                        let d = compute_dur(env, sh, p, lp, jx);
-                        push_child(
-                            env,
-                            sh,
-                            entry,
-                            &mut j,
-                            tick + d,
-                            p as NodeId,
-                            Ev::ComputeDone {
-                                proc: p as NodeId,
-                                own_idx: jx,
-                            },
-                        );
-                    }
-                }
-            }
-        }
-        Ev::Resend {
-            sub,
-            hop,
-            step,
-            value,
-            attempt,
-        } => {
-            send_sub(
-                env, sh, ro, entry, &mut j, tick, sub, hop, step, value, attempt,
-            )?;
-        }
-        Ev::TreeResend {
-            tree,
-            node,
-            step,
-            value,
-            attempt,
-        } => {
-            let Routes::Multicast(mt) = &plan.routes else {
-                unreachable!("tree resend in unicast mode");
-            };
-            let nodes = &mt.trees[tree as usize].nodes;
-            send_tree(
-                env, sh, nodes, entry, &mut j, tick, tree, node, step, value, attempt,
-            )?;
-        }
-        Ev::Crash { .. } => unreachable!("crashes are processed at barriers"),
-    }
-    sh.log.children[entry] = j;
-    Ok(())
 }
 
 /// Run one shard's window `[*, w_end)`: pop the earliest-keyed event
 /// (resolved first on tick ties — see module docs for why that is the
 /// exact global order) and process it, logging every entry. Stops early
 /// at the shard's first error; the barrier decides its fate.
-fn run_window(env: &Env<'_, '_>, sh: &mut ShardState, ro: &SharedRo, w_end: u64) {
+fn run_window(env: &Env<'_, '_>, sh: &mut ShardState, cr: &Crashes, w_end: u64) {
     loop {
         let rt = sh.resolved.peek().map(|Reverse(r)| r.key.tick);
         let ft = sh.fresh.peek_tick();
@@ -967,17 +463,26 @@ fn run_window(env: &Env<'_, '_>, sh: &mut ShardState, ro: &SharedRo, w_end: u64)
         if tick >= w_end {
             return;
         }
-        let (entry, ev) = if use_resolved {
+        let (key, ev) = if use_resolved {
             let Reverse(item) = sh.resolved.pop().unwrap();
-            (sh.log.begin(tick, item.key.prio, 0, item.key.j), item.ev)
+            ((item.key.prio, 0, item.key.j), item.ev)
         } else {
             let (_, f) = sh.fresh.pop().unwrap();
-            (sh.log.begin(tick, u64::MAX, f.pidx, f.j), f.ev)
+            ((u64::MAX, f.pidx, f.j), f.ev)
         };
-        let res = process_event(env, sh, ro, tick, ev, entry);
-        sh.log.close();
+        let entry = sh.log.len() as u32;
+        let before = LaneMark::of(&sh.lane);
+        let mut b = Window {
+            sh: &mut *sh,
+            env,
+            entry,
+            j: 0,
+        };
+        let res = env.rules.handle(cr, &mut b, &mut NoopTracer, tick, ev);
+        let children = b.j;
+        sh.log.push(tick, key, children, before, &sh.lane);
         if let Err(e) = res {
-            sh.err = Some((entry as u32, e));
+            sh.err = Some((entry, e));
             return;
         }
     }
@@ -1013,13 +518,11 @@ struct MergeOut {
 /// event the depth maximum is `len - 1 + children` — replayed here in the
 /// exact global pop order. Dropped (post-cut) entries would only have
 /// been pops and never raise the peak.
-#[allow(clippy::too_many_arguments)]
 fn merge_windows(
     slots: &mut [Option<Box<ShardState>>],
     n_seeds: u64,
     gpos: &mut u64,
     r_start: u64,
-    record_timing: bool,
     timeline: &mut Vec<FaultMark>,
     qlen: &mut u64,
     peak: &mut u64,
@@ -1097,11 +600,9 @@ fn merge_windows(
                     *peak = *qlen;
                 }
             }
-            if record_timing {
-                let lo = sh.log.mark_off[i] as usize;
-                let hi = sh.log.mark_off[i + 1] as usize;
-                timeline.extend_from_slice(&sh.log.marks[lo..hi]);
-            }
+            let lo = sh.log.mark_off[i] as usize;
+            let hi = sh.log.mark_off[i + 1] as usize;
+            timeline.extend_from_slice(&sh.lane.timeline[lo..hi]);
             if sh.log.completed[i] {
                 out.completions += 1;
                 if out.completions == r_start {
@@ -1116,280 +617,17 @@ fn merge_windows(
             if out.dropped_min_tick.is_none() {
                 out.dropped_min_tick = Some(sh.log.tick[i]);
             }
-            sh.pebble_hops -= sh.log.d_hops[i];
-            sh.retries -= sh.log.d_retries[i];
-            sh.stall_ticks -= sh.log.d_stall[i];
+            sh.lane.pebble_hops -= sh.log.d_hops[i];
+            sh.lane.faults.retries -= sh.log.d_retries[i];
+            sh.lane.faults.fault_stall_ticks -= sh.log.d_stall[i];
             let lo = sh.log.link_off[i] as usize;
             let hi = sh.log.link_off[i + 1] as usize;
             for k in lo..hi {
-                sh.link_traffic[sh.log.link_ids[k] as usize] -= 1;
+                sh.link_slots[sh.log.link_ids[k] as usize].traffic -= 1;
             }
         }
     }
     out
-}
-
-/// Crash-time pebble transmit: like [`send_sub`], but runs on the main
-/// thread at a barrier, against the *sender shard's* link state, with
-/// children delivered straight into their owner shard's resolved heap.
-#[allow(clippy::too_many_arguments)]
-fn crash_send_sub(
-    env: &Env<'_, '_>,
-    slots: &mut [Option<Box<ShardState>>],
-    ro: &SharedRo,
-    crash_prio: u64,
-    j: &mut u32,
-    now: u64,
-    sid: u32,
-    step: u32,
-    value: PebbleValue,
-    attempt: u32,
-    fstats: &mut FaultStats,
-    timeline: &mut Vec<FaultMark>,
-) -> Result<(), RunError> {
-    let hot = &env.plan.hot;
-    // Crash-time sends always use the freshly created dynamic route.
-    let ds = &ro.dyn_subs[sid as usize - env.n_orig_subs];
-    let hop: u16 = 1;
-    let lid = ds.links[hop as usize - 1];
-    let l = lid as usize;
-    let sender = env.shard_of[hot.link_src[l] as usize] as usize;
-    let sh = slots[sender].as_mut().unwrap();
-    sh.link_traffic[l] += 1;
-    let depart = inject(&mut sh.link_slots[l], now, env.bw);
-    let base = env
-        .plan
-        .config
-        .jitter
-        .effective(hot.link_delay[l], lid, depart);
-    let f = env.frt.as_ref().expect("crash implies fault plan");
-    let arrive = depart + base * f.spike_factor(lid, depart);
-    let (tick, ev, owner) = if !f.down_overlap(lid, depart, arrive) {
-        (
-            arrive,
-            Ev::Arrival {
-                sub: sid,
-                hop,
-                step,
-                value,
-            },
-            hot.link_dst[l],
-        )
-    } else {
-        let attempt = attempt + 1;
-        if attempt > f.retry.max_attempts {
-            return Err(RunError::RetriesExhausted {
-                link: lid,
-                tick: arrive,
-            });
-        }
-        let back = f.retry.backoff(attempt);
-        fstats.retries += 1;
-        fstats.fault_stall_ticks += arrive - now + back;
-        if env.record_timing {
-            timeline.push(FaultMark {
-                tick: arrive,
-                kind: FaultMarkKind::LinkTimeout { link: lid },
-            });
-        }
-        (
-            arrive + back,
-            Ev::Resend {
-                sub: sid,
-                hop,
-                step,
-                value,
-                attempt,
-            },
-            hot.link_src[l],
-        )
-    };
-    let jj = *j;
-    *j += 1;
-    let target = slots[env.shard_of[owner as usize] as usize]
-        .as_mut()
-        .unwrap();
-    target.resolved.push(Reverse(RItem {
-        key: EvKey {
-            tick,
-            prio: crash_prio,
-            j: jj,
-        },
-        ev,
-    }));
-    Ok(())
-}
-
-/// Process one crash at a barrier — the mirror of the sequential
-/// `Ev::Crash` arm. Mutates the shared routing snapshot (so subsequent
-/// windows see the re-subscriptions) and backfills missed pebbles.
-#[allow(clippy::too_many_arguments)]
-fn process_crash(
-    env: &Env<'_, '_>,
-    ro: &mut Arc<SharedRo>,
-    slots: &mut [Option<Box<ShardState>>],
-    c: PendingCrash,
-    remaining: &mut u64,
-    total_forfeited: &mut u64,
-    gpos: &mut u64,
-    events_processed: &mut u64,
-    messages: &mut u64,
-    pebble_hops: &mut u64,
-    fstats: &mut FaultStats,
-    timeline: &mut Vec<FaultMark>,
-    qlen: &mut u64,
-    peak: &mut u64,
-) -> Result<(), RunError> {
-    let plan = env.plan;
-    let hot = &plan.hot;
-    let f = env.frt.as_ref().expect("crash implies fault plan");
-    let (tick, p) = (c.tick, c.proc as usize);
-    *events_processed += 1;
-    // The crash event is a queue pop in the sequential engine.
-    *qlen -= 1;
-    let crash_prio = env.n_seeds + *gpos;
-    *gpos += 1;
-    let snap = Arc::make_mut(ro);
-    if snap.crashed[p] {
-        return Ok(());
-    }
-    snap.crashed[p] = true;
-    fstats.crashed_procs += 1;
-    let pt = &hot.procs[p];
-    fstats.lost_copies += pt.cells.len() as u32;
-    if env.record_timing {
-        timeline.push(FaultMark {
-            tick,
-            kind: FaultMarkKind::Crash { proc: c.proc },
-        });
-    }
-    let (psh, plp) = (env.shard_of[p] as usize, env.local_of[p] as usize);
-    let forfeited: u64 = slots[psh].as_ref().unwrap().state[plp]
-        .next_step
-        .iter()
-        .map(|&ns| (env.steps + 1 - ns) as u64)
-        .sum();
-    *remaining -= forfeited;
-    *total_forfeited += forfeited;
-
-    for &cell in &pt.cells {
-        let alive = plan
-            .assign
-            .holders(cell)
-            .iter()
-            .any(|&q| !snap.crashed[q as usize]);
-        if !alive {
-            return Err(RunError::ColumnLost { cell, tick });
-        }
-    }
-
-    let mut orphans: Vec<(u32, NodeId, u32)> = Vec::new();
-    match &plan.routes {
-        Routes::Unicast(rt) => {
-            for (sid, sub) in rt.subs.iter().enumerate() {
-                if sub.source == c.proc && !snap.crashed[sub.dest as usize] {
-                    orphans.push((sub.cell, sub.dest, hot.sub_dest_dep[sid]));
-                }
-            }
-        }
-        Routes::Multicast(mt) => {
-            for (tid, t) in mt.trees.iter().enumerate() {
-                if t.source != c.proc {
-                    continue;
-                }
-                for (v, &del) in t.deliver.iter().enumerate() {
-                    if del && !snap.crashed[t.nodes[v] as usize] {
-                        orphans.push((t.cell, t.nodes[v], hot.tree_deliver_dep[tid][v]));
-                    }
-                }
-            }
-        }
-    }
-    for ds in &snap.dyn_subs {
-        if ds.source == c.proc && !snap.crashed[ds.dest as usize] {
-            orphans.push((ds.cell, ds.dest, ds.dest_dep));
-        }
-    }
-
-    if !orphans.is_empty() && snap.dyn_out.is_empty() {
-        snap.dyn_out = vec![Vec::new(); *hot.copy_off.last().unwrap() as usize];
-    }
-    let mut sp_cache: HashMap<NodeId, overlap_net::paths::PathResult> = HashMap::new();
-    let mut j: u32 = 0;
-    for (cell, dest, dest_dep) in orphans {
-        let sp = sp_cache
-            .entry(dest)
-            .or_insert_with(|| dijkstra(&plan.host, dest));
-        let best = plan
-            .assign
-            .holders(cell)
-            .iter()
-            .copied()
-            .filter(|&q| !snap.crashed[q as usize])
-            .min_by_key(|&q| (sp.dist[q as usize], q))
-            .expect("surviving holder checked above");
-        let Some(mut path) = sp.path_to(best) else {
-            return Err(RunError::NoRouteToHolder {
-                cell,
-                holder: best,
-                consumer: dest,
-                tick,
-            });
-        };
-        path.reverse();
-        let links: Vec<u32> = path.windows(2).map(|w| f.link_ids[&(w[0], w[1])]).collect();
-        let nhops = links.len() as u64;
-        let src_pt = &hot.procs[best as usize];
-        let pos = src_pt
-            .cells
-            .binary_search(&cell)
-            .expect("holder holds cell");
-        let src_cid = hot.copy_off[best as usize] as usize + pos;
-        let sid = (env.n_orig_subs + snap.dyn_subs.len()) as u32;
-        let (bsh, blp) = (
-            env.shard_of[best as usize] as usize,
-            env.local_of[best as usize] as usize,
-        );
-        let computed = slots[bsh].as_ref().unwrap().state[blp].next_step[pos] - 1;
-        snap.dyn_subs.push(DynSub {
-            cell,
-            source: best,
-            dest,
-            dest_dep,
-            links,
-        });
-        snap.dyn_out[src_cid].push(sid);
-        fstats.rerouted_subscriptions += 1;
-        if env.record_timing {
-            timeline.push(FaultMark {
-                tick,
-                kind: FaultMarkKind::Reroute { cell, to: best },
-            });
-        }
-        let (dsh, dlp) = (
-            env.shard_of[dest as usize] as usize,
-            env.local_of[dest as usize] as usize,
-        );
-        let w = slots[dsh].as_ref().unwrap().state[dlp].dep_watermark[dest_dep as usize];
-        for s2 in (w + 1)..=computed {
-            let value =
-                slots[bsh].as_ref().unwrap().state[blp].history[pos * env.stride + s2 as usize];
-            *messages += 1;
-            *pebble_hops += nhops;
-            crash_send_sub(
-                env, slots, snap, crash_prio, &mut j, tick, sid, s2, value, 0, fstats, timeline,
-            )?;
-        }
-    }
-    // Backfill sends are the crash event's children in the sequential
-    // queue; the depth maximum occurs after the last push.
-    if j > 0 {
-        *qlen += j as u64;
-        if *qlen > *peak {
-            *peak = *qlen;
-        }
-    }
-    Ok(())
 }
 
 /// Earliest pending tick across every queue the run still owes events
@@ -1424,7 +662,7 @@ fn pending_min(
 /// A window job shipped to a worker thread.
 struct Job {
     sh: Box<ShardState>,
-    ro: Arc<SharedRo>,
+    ro: Arc<Crashes>,
     w_end: u64,
 }
 
@@ -1460,14 +698,7 @@ pub fn run_sharded_controlled(
 ) -> Result<RunOutcome, RunError> {
     let hot = &plan.hot;
     let n = plan.host.num_nodes() as usize;
-    let steps = plan.guest.steps;
-    let stride = steps as usize + 1;
-    let program: ProgramRef = plan.guest.program.instantiate();
-    let kind = program.db_kind();
-    let frt: Option<FaultRt> = match plan.faults.as_ref() {
-        Some(fp) if !fp.is_empty() => Some(FaultRt::build(fp, &plan.host)?),
-        _ => None,
-    };
+    let rules = Rules::new(plan, plan.faults.as_ref(), plan.compute_costs.as_deref())?;
     let jitter = plan.config.jitter;
     let max_ticks = plan.config.max_ticks;
 
@@ -1503,146 +734,59 @@ pub fn run_sharded_controlled(
     }
     debug_assert!(nshards == 1 || lookahead >= 1);
 
-    let mut shards: Vec<Box<ShardState>> = shard_procs
+    let mut slots: Vec<Option<Box<ShardState>>> = shard_procs
         .iter()
         .enumerate()
         .map(|(sid, procs)| {
-            Box::new(ShardState {
+            Some(Box::new(ShardState {
                 id: sid as u32,
                 resolved: BinaryHeap::new(),
                 fresh: CalendarQueue::new(),
                 state: procs
                     .iter()
-                    .map(|&p| ProcState::seed(&hot.procs[p as usize], plan, stride, kind))
+                    .map(|&p| rules.proc_state(p as usize))
                     .collect(),
                 link_slots: vec![LinkSlot::default(); hot.link_delay.len()],
-                link_traffic: vec![0; hot.link_delay.len()],
-                messages: 0,
-                pebble_hops: 0,
-                retries: 0,
-                stall_ticks: 0,
-                makespan: 0,
+                lane: rules.lane(),
                 log: WinLog::new(),
                 outbox: (0..nshards).map(|_| Vec::new()).collect(),
                 err: None,
-                deps_buf: Vec::with_capacity(plan.guest.max_deps()),
-                mems: procs
-                    .iter()
-                    .map(|&p| {
-                        plan.config.mem.map(|m| {
-                            crate::engine::MemLru::new(
-                                hot.procs[p as usize].cells.len(),
-                                m.budget,
-                                m.reload_cost,
-                            )
-                        })
-                    })
-                    .collect(),
-            })
+            }))
         })
         .collect();
 
-    // Seed in the sequential push order: crashes first (processed at
-    // barriers, so they live in a main-thread list, not shard queues),
-    // then each processor's initial pebble in processor order.
-    let mut seed_ctr: u64 = 0;
-    let mut crash_list: Vec<PendingCrash> = Vec::new();
-    if let Some(f) = frt.as_ref() {
-        for (p, &at) in f.crash_at.iter().enumerate() {
-            if at != u64::MAX {
-                crash_list.push(PendingCrash {
-                    tick: at,
-                    proc: p as u32,
-                });
-                seed_ctr += 1;
-            }
-        }
-    }
+    // Crashes run at barriers, so they live in a main-thread list, not in
+    // shard queues.
+    let mut crash_list: Vec<PendingCrash> = rules
+        .crash_schedule()
+        .map(|(tick, proc)| PendingCrash { tick, proc })
+        .collect();
     crash_list.sort_by_key(|c| c.tick); // stable: proc order within a tick
 
-    let cost0 = |p: usize| -> u64 {
-        plan.compute_costs
-            .as_ref()
-            .map(|c| c[p] as u64)
-            .unwrap_or(1)
-    };
-    let has_task_costs = plan.guest.has_nonunit_task_costs();
-    for p in 0..n {
-        let pt = &hot.procs[p];
-        let sh = &mut shards[shard_of[p] as usize];
-        let lp = local_of[p] as usize;
-        let popped = {
-            let st = &mut sh.state[lp];
-            for i in 0..pt.cells.len() {
-                try_enqueue(
-                    pt,
-                    st,
-                    i,
-                    steps,
-                    p as NodeId,
-                    0,
-                    ReadyCause::Local,
-                    &mut NoopTracer,
-                );
-            }
-            if let Some(Reverse((_s, i))) = st.ready.pop() {
-                st.busy = true;
-                Some(i)
-            } else {
-                None
-            }
-        };
-        if let Some(i) = popped {
-            let mut d = cost0(p);
-            if has_task_costs {
-                let s = sh.state[lp].next_step[i as usize];
-                d *= plan.guest.task_cost(pt.cells[i as usize], s) as u64;
-            }
-            if let Some(m) = sh.mems[lp].as_mut() {
-                d += m.touch(i as usize);
-            }
-            sh.resolved.push(Reverse(RItem {
-                key: EvKey {
-                    tick: d,
-                    prio: seed_ctr,
-                    j: 0,
-                },
-                ev: Ev::ComputeDone {
-                    proc: p as NodeId,
-                    own_idx: i,
-                },
-            }));
-            seed_ctr += 1;
-        }
-    }
-    let total_compute: u64 = hot
-        .procs
-        .iter()
-        .map(|pt| pt.cells.len() as u64 * steps as u64)
-        .sum();
-
     let env = Env {
-        plan,
-        frt,
-        program,
-        boundary: plan.guest.boundary(),
-        bw: plan.config.bandwidth.per_tick(plan.host.num_nodes()) as u64,
-        steps,
-        stride,
-        record_timing: plan.config.record_timing,
-        n_orig_subs: hot.sub_link_off.len() - 1,
-        n_seeds: seed_ctr,
+        rules,
         shard_of,
         local_of,
-        has_task_costs,
-        has_relays: plan.guest.graph.is_some(),
     };
+    let mut ro: Arc<Crashes> = Arc::new(env.rules.crashes());
+    // Run-global counters: seeding, crashes, and (at the end) every
+    // shard's lane. Its timeline is the run's fault timeline.
+    let mut glane = env.rules.lane();
 
-    let mut ro: Arc<SharedRo> = Arc::new(SharedRo {
-        crashed: vec![false; if env.frt.is_some() { n } else { 0 }],
-        dyn_subs: Vec::new(),
-        dyn_out: Vec::new(),
-    });
+    // Seed in the sequential push order: the crashes were pushed first,
+    // then each processor's initial pebble in processor order, keyed
+    // `(tick, n_crashes, j)` so they sort after the crashes and in push
+    // order among themselves.
+    let n_crashes = crash_list.len() as u64;
+    let mut b = Barrier {
+        slots: &mut slots,
+        env: &env,
+        lane: &mut glane,
+        prio: n_crashes,
+        j: 0,
+    };
+    env.rules.seed(&mut b, &mut NoopTracer);
+    let n_seeds = n_crashes + b.j as u64;
 
     std::thread::scope(|scope| -> Result<RunOutcome, RunError> {
         // Persistent workers for shards 1..; shard 0 runs on this thread
@@ -1665,19 +809,15 @@ pub fn run_sharded_controlled(
         }
         drop(done_tx);
 
-        let mut slots: Vec<Option<Box<ShardState>>> = shards.into_iter().map(Some).collect();
         let mut crash_cur = 0usize;
-        let mut remaining = total_compute;
+        let total = env.rules.total_compute();
+        // Pebbles computed by the merged (kept) window entries.
+        let mut completed = 0u64;
         let mut gpos: u64 = 0;
         let mut events_processed: u64 = 0;
-        let mut g_messages = 0u64;
-        let mut g_pebble_hops = 0u64;
-        let mut fstats = FaultStats::default();
-        let mut timeline: Vec<FaultMark> = Vec::new();
-        let mut total_forfeited = 0u64;
         // Reconstructed sequential queue depth: seeding pushes `n_seeds`
         // events before the first pop, so both start there.
-        let mut qlen: u64 = env.n_seeds;
+        let mut qlen: u64 = n_seeds;
         let mut peak: u64 = qlen;
 
         loop {
@@ -1685,8 +825,9 @@ pub fn run_sharded_controlled(
                 ctl.checkpoint(events_processed)?;
             }
             let next = pending_min(&mut slots, &crash_list, crash_cur);
+            let remaining = total - completed - glane.forfeited;
             if remaining == 0 {
-                // Mirror the sequential pop: a next event past the tick
+                // Like the sequential pop: a next event past the tick
                 // cap errors before the `remaining == 0` break fires.
                 if let Some(nt) = next {
                     if nt > max_ticks {
@@ -1698,7 +839,7 @@ pub fn run_sharded_controlled(
             let Some(nt) = next else {
                 let makespan = slots
                     .iter()
-                    .map(|s| s.as_ref().unwrap().makespan)
+                    .map(|s| s.as_ref().unwrap().lane.makespan)
                     .max()
                     .unwrap_or(0);
                 return Err(RunError::Deadlock {
@@ -1717,26 +858,29 @@ pub fn run_sharded_controlled(
             if crash_cur < crash_list.len() && crash_list[crash_cur].tick == nt {
                 while crash_cur < crash_list.len()
                     && crash_list[crash_cur].tick == nt
-                    && remaining > 0
+                    && total - completed - glane.forfeited > 0
                 {
                     let c = crash_list[crash_cur];
                     crash_cur += 1;
-                    process_crash(
-                        &env,
-                        &mut ro,
-                        &mut slots,
-                        c,
-                        &mut remaining,
-                        &mut total_forfeited,
-                        &mut gpos,
-                        &mut events_processed,
-                        &mut g_messages,
-                        &mut g_pebble_hops,
-                        &mut fstats,
-                        &mut timeline,
-                        &mut qlen,
-                        &mut peak,
-                    )?;
+                    // The crash is one sequential queue pop with its own
+                    // global processing index; its backfill sends are its
+                    // children, and the depth maximum occurs after the
+                    // last push.
+                    events_processed += 1;
+                    qlen -= 1;
+                    let mut b = Barrier {
+                        slots: &mut slots,
+                        env: &env,
+                        lane: &mut glane,
+                        prio: n_seeds + gpos,
+                        j: 0,
+                    };
+                    gpos += 1;
+                    let snap = Arc::make_mut(&mut ro);
+                    env.rules
+                        .crash(snap, &mut b, &mut NoopTracer, c.tick, c.proc)?;
+                    qlen += b.j as u64;
+                    peak = peak.max(qlen);
                 }
                 continue;
             }
@@ -1782,11 +926,10 @@ pub fn run_sharded_controlled(
             // ---- barrier ----
             let m = merge_windows(
                 &mut slots,
-                env.n_seeds,
+                n_seeds,
                 &mut gpos,
                 r_start,
-                env.record_timing,
-                &mut timeline,
+                &mut glane.timeline,
                 &mut qlen,
                 &mut peak,
             );
@@ -1794,10 +937,10 @@ pub fn run_sharded_controlled(
                 return Err(e);
             }
             events_processed += m.kept_events;
-            remaining -= m.completions;
+            completed += m.completions;
 
             if m.cut {
-                debug_assert_eq!(remaining, 0);
+                debug_assert_eq!(total - completed - glane.forfeited, 0);
                 let nx = match m.dropped_min_tick {
                     Some(t) => Some(t),
                     None => pending_min(&mut slots, &crash_list, crash_cur),
@@ -1851,119 +994,29 @@ pub fn run_sharded_controlled(
             for slot in slots.iter_mut() {
                 let sh = slot.as_mut().unwrap();
                 sh.log.clear();
+                sh.lane.timeline.clear();
             }
         }
 
-        // ---- finalize (mirrors the sequential post-loop) ----
-        if let Some(f) = env.frt.as_ref() {
-            let snap = Arc::make_mut(&mut ro);
-            for (p, &at) in f.crash_at.iter().enumerate() {
-                if at != u64::MAX && !snap.crashed[p] {
-                    snap.crashed[p] = true;
-                    fstats.crashed_procs += 1;
-                    fstats.lost_copies += hot.procs[p].cells.len() as u32;
-                    if env.record_timing {
-                        timeline.push(FaultMark {
-                            tick: at,
-                            kind: FaultMarkKind::Crash { proc: p as NodeId },
-                        });
-                    }
-                }
-            }
-        }
-
-        let mut copies = Vec::with_capacity(plan.assign.total_copies());
-        let mut timing = env.record_timing.then(TimingTrace::default);
-        for p in 0..n {
-            if env.frt.is_some() && ro.crashed[p] {
-                continue;
-            }
-            let pt = &hot.procs[p];
-            let st =
-                &slots[env.shard_of[p] as usize].as_ref().unwrap().state[env.local_of[p] as usize];
-            for (i, &c) in pt.cells.iter().enumerate() {
-                copies.push(CopyRecord {
-                    cell: c,
-                    proc: p as NodeId,
-                    value_fold: st.value_fold[i],
-                    db_digest: st.dbs[i].digest(),
-                    update_fold: st.update_fold[i],
-                    finished_at: st.finished_at[i],
-                });
-                if let Some(t) = timing.as_mut() {
-                    t.ticks.push(st.times[i].clone());
-                }
-            }
-        }
-        if let Some(t) = timing.as_mut() {
-            t.fault_timeline = timeline;
-        }
-
-        let mut makespan = 0u64;
-        let mut messages = g_messages;
-        let mut pebble_hops = g_pebble_hops;
-        let mut link_traffic: Vec<u64> = vec![0; hot.link_delay.len()];
-        let mut mem_stats = crate::stats::MemStats::default();
+        // ---- finalize ----
+        env.rules
+            .late_crashes(Arc::make_mut(&mut ro), &mut glane, &mut NoopTracer);
+        let shards: Vec<&ShardState> = slots.iter().map(|s| s.as_deref().unwrap()).collect();
         let mut clamped = 0u64;
-        for slot in &slots {
-            let sh = slot.as_ref().unwrap();
+        for sh in &shards {
             clamped += sh.fresh.clamped();
-            makespan = makespan.max(sh.makespan);
-            messages += sh.messages;
-            pebble_hops += sh.pebble_hops;
-            fstats.retries += sh.retries;
-            fstats.fault_stall_ticks += sh.stall_ticks;
-            for (l, &t) in sh.link_traffic.iter().enumerate() {
-                link_traffic[l] += t;
-            }
-            for l in sh.mems.iter().flatten() {
-                mem_stats.evictions += l.evictions;
-                mem_stats.reloads += l.reloads;
-                mem_stats.reload_ticks += l.reload_ticks;
-            }
+            glane.absorb(&sh.lane);
         }
-
-        let stats = RunStats {
-            guest_cells: plan.guest.num_cells(),
-            guest_steps: steps,
-            host_procs: plan.host.num_nodes(),
-            makespan,
-            slowdown: if steps == 0 {
-                0.0
-            } else {
-                makespan as f64 / steps as f64
-            },
-            total_compute: total_compute - total_forfeited,
-            guest_work: plan.guest.total_work(),
-            redundancy: plan.assign.redundancy(),
-            load: plan.assign.load(),
-            active_procs: plan.assign.active_procs(),
-            messages,
-            pebble_hops,
-            subscriptions: plan.routes.num_subscriptions(),
-            bandwidth_per_link: env.bw as u32,
-            busiest_link_pebbles: link_traffic.iter().copied().max().unwrap_or(0),
-            mean_link_pebbles: {
-                let active: Vec<u64> = link_traffic.iter().copied().filter(|&t| t > 0).collect();
-                if active.is_empty() {
-                    0.0
-                } else {
-                    active.iter().sum::<u64>() as f64 / active.len() as f64
-                }
-            },
-            events_processed,
-            peak_queue_depth: peak,
-            queue_clamped_pushes: clamped,
-            faults: fstats,
-            stalls: None,
-            mem: mem_stats,
-        };
-        Ok(RunOutcome {
-            stats,
-            copies,
-            timing,
-            trace: None,
-        })
+        let traffic = (0..hot.link_delay.len()).map(|l| {
+            shards
+                .iter()
+                .map(|sh| sh.link_slots[l].traffic)
+                .sum::<u64>()
+        });
+        let state = |p: usize| &shards[env.shard_of[p] as usize].state[env.local_of[p] as usize];
+        Ok(env
+            .rules
+            .outcome(&ro, state, traffic, glane, events_processed, peak, clamped))
     })
 }
 

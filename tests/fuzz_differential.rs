@@ -14,6 +14,7 @@ use overlap::sim::fuzz::{
     check_spec, gen_spec, run_fuzz, shrink, AssignKind, FuzzConfig, GuestKind, HostKind,
     ScenarioSpec,
 };
+use overlap::sim::Jitter;
 
 #[test]
 fn bounded_fuzz_run_is_divergence_free() {
@@ -77,6 +78,7 @@ fn feature_matrix_corners_agree() {
             multicast: true,
             mem: None,
             faults: vec![],
+            jitter: Jitter::None,
         },
         // Heterogeneous compute costs over a heavy-tailed network.
         ScenarioSpec {
@@ -96,6 +98,7 @@ fn feature_matrix_corners_agree() {
             multicast: false,
             mem: None,
             faults: vec![],
+            jitter: Jitter::None,
         },
         // All databases on one processor: no messages at all.
         ScenarioSpec {
@@ -115,6 +118,7 @@ fn feature_matrix_corners_agree() {
             multicast: false,
             mem: None,
             faults: vec![],
+            jitter: Jitter::None,
         },
     ];
     for spec in &corners {
@@ -152,6 +156,7 @@ fn shrinker_minimizes_while_preserving_failure() {
                 factor: 3,
             },
         ],
+        jitter: Jitter::None,
     };
     assert!(check_spec(&spec).is_err());
     let (min, detail) = shrink(&spec);

@@ -7,7 +7,7 @@ use overlap::model::ProgramKind;
 use overlap::net::DelayModel;
 use overlap::sim::engine::{Engine, EngineConfig, RunError};
 use overlap::sim::fuzz::{check_spec, AssignKind, FaultSpec, GuestKind, HostKind, ScenarioSpec};
-use overlap::sim::{run_sharded, Assignment, ExecPlan, FaultPlan};
+use overlap::sim::{run_sharded, Assignment, ExecPlan, FaultPlan, Jitter};
 use overlap::{topology, GuestSpec};
 
 /// Fuzzer finding (seed 0, case 770, shrunk): a crash scheduled after an
@@ -32,6 +32,7 @@ fn fuzz_repro_seed0_case770_crash_after_completion() {
         multicast: false,
         mem: None,
         faults: vec![FaultSpec::Crash { proc: 2, at: 4 }],
+        jitter: Jitter::None,
     };
     check_spec(&spec).expect("engines must agree");
 }
@@ -55,6 +56,7 @@ fn fuzz_repro_seed0_case86_crash_straddles_makespans() {
         multicast: false,
         mem: None,
         faults: vec![FaultSpec::Crash { proc: 2, at: 4 }],
+        jitter: Jitter::None,
     };
     check_spec(&spec).expect("engines must agree");
 }
@@ -138,6 +140,7 @@ fn fault_on_missing_link_is_an_error_on_every_path() {
             from: 5,
             until: 10,
         }],
+        jitter: Jitter::None,
     };
     let detail = check_spec(&spec).unwrap_err();
     assert!(detail.contains("fault plan rejected"), "{detail}");
@@ -182,6 +185,7 @@ fn zero_step_scenarios_are_well_defined() {
             multicast,
             mem: None,
             faults: vec![],
+            jitter: Jitter::None,
         };
         check_spec(&spec).unwrap_or_else(|d| panic!("{assign:?}/multicast={multicast}: {d}"));
     }
@@ -279,6 +283,7 @@ fn fuzz_pin_dag_random_under_memory_budget() {
             reload_cost: 4,
         }),
         faults: vec![],
+        jitter: Jitter::None,
     };
     check_spec(&spec).expect("engines must agree");
 }
@@ -305,6 +310,7 @@ fn fuzz_pin_fork_join_relays_with_link_fault() {
             from: 2,
             until: 20,
         }],
+        jitter: Jitter::None,
     };
     check_spec(&spec).expect("engines must agree");
 }
@@ -331,6 +337,7 @@ fn fuzz_pin_wavefront_multicast() {
         multicast: true,
         mem: None,
         faults: vec![],
+        jitter: Jitter::None,
     };
     check_spec(&spec).expect("engines must agree");
 }
@@ -354,6 +361,7 @@ fn zero_layer_task_graph_is_well_defined() {
         multicast: false,
         mem: None,
         faults: vec![],
+        jitter: Jitter::None,
     };
     check_spec(&spec).expect("engines must agree");
 }
