@@ -7,15 +7,17 @@
 //! validates them through the *same* builder matrix the in-process API
 //! uses (so a spec the daemon accepts behaves identically when replayed
 //! locally), and keys its server-side `ExecPlan` cache on
-//! [`ScenarioSpec::plan_key`].
+//! [`ScenarioSpec::plan_key`], computed at admission by
+//! [`ScenarioSpec::admit`] together with the placement the cache lowers
+//! from on a miss.
 //!
 //! Plan-cache keying rule: the key covers exactly the inputs of
 //! lowering — `(guest, host, assignment, config)` — and deliberately
 //! *excludes* faults, compute costs, the engine kind, and tracing.
-//! Fault and cost variants are applied to a cached plan with
-//! `ExecPlan::apply_delta` (bit-identical to a fresh lowering, never
-//! re-lowered), every engine consumes the same plan, and tracing only
-//! changes what is observed, not what is scheduled.
+//! Fault and cost variants run on their own `ExecPlan::view` of the
+//! cached plan (bit-identical to a fresh lowering, never re-lowered, and
+//! never written back), every engine consumes the same plan, and tracing
+//! only changes what is observed, not what is scheduled.
 //!
 //! [`SimulationBuilder`]: crate::simulation::SimulationBuilder
 
@@ -27,6 +29,7 @@ use overlap_net::HostGraph;
 use overlap_sim::engine::EngineConfig;
 use overlap_sim::faults::FaultPlan;
 use overlap_sim::trace::TraceConfig;
+use overlap_sim::Assignment;
 use serde::{Deserialize, Serialize};
 
 /// A complete, self-contained simulation request: the serializable twin
@@ -106,7 +109,7 @@ impl ScenarioSpec {
         b.build()
     }
 
-    /// Validate without keeping the plan (the daemon's admission check).
+    /// Validate without keeping the placement.
     pub fn validate(&self) -> Result<(), Error> {
         self.ready().map(|_| ())
     }
@@ -119,25 +122,17 @@ impl ScenarioSpec {
     /// cached plan). Placement runs as part of keying, so an invalid
     /// spec fails here with the same error as [`ready`](Self::ready).
     pub fn plan_key(&self) -> Result<String, Error> {
-        let ready = self.ready()?;
-        Ok(overlap_sim::scenario_key(
-            &self.guest,
-            &self.host,
-            ready.assignment(),
-            self.config,
-        ))
+        self.admit().map(|(key, _)| key)
     }
 
-    /// FNV-1a hash of [`plan_key`](Self::plan_key) — a compact display
-    /// form of the key (the cache itself keys on the full string).
-    pub fn plan_hash(&self) -> Result<u64, Error> {
-        let ready = self.ready()?;
-        Ok(overlap_sim::scenario_hash(
-            &self.guest,
-            &self.host,
-            ready.assignment(),
-            self.config,
-        ))
+    /// Validate, place and key this spec in one pass: the
+    /// [`plan_key`](Self::plan_key) and the assignment it was computed
+    /// from, so a caller that goes on to lower the plan (the daemon, on a
+    /// cache miss) does not run placement a second time.
+    pub fn admit(&self) -> Result<(String, Assignment), Error> {
+        let assignment = self.ready()?.assignment().clone();
+        let key = overlap_sim::scenario_key(&self.guest, &self.host, &assignment, self.config);
+        Ok((key, assignment))
     }
 }
 

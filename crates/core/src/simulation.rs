@@ -32,10 +32,13 @@ use crate::error::Error;
 use crate::pipeline::{plan_line_placement, SimReport, Strategy};
 use overlap_model::{GuestSpec, ReferenceRun, ReferenceTrace};
 use overlap_net::{Delay, HostGraph};
-use overlap_sim::engine::{Engine, EngineConfig, Jitter, MemBudget, RunOutcome};
+use overlap_sim::engine::{Engine, EngineConfig, Jitter, MemBudget, RunError, RunOutcome};
 use overlap_sim::faults::FaultPlan;
 use overlap_sim::validate::validate_run;
-use overlap_sim::{run_lockstep, run_sharded, Assignment, BandwidthMode, ExecPlan, TraceConfig};
+use overlap_sim::{
+    run_lockstep_controlled, run_sharded_controlled, Assignment, BandwidthMode, ExecPlan,
+    Partition, RunControl, TraceConfig,
+};
 use serde::{Deserialize, Serialize};
 
 /// Which execution engine runs the simulation.
@@ -58,6 +61,37 @@ pub enum EngineKind {
         /// Worker-thread (= shard) count; clamped to `1..=host procs`.
         threads: usize,
     },
+}
+
+impl EngineKind {
+    /// Execute `plan` on this engine, under `control` when given. `trace`
+    /// turns on stall attribution, which only the event engine has; the
+    /// builder rejects it for the others, and they ignore it. This is the
+    /// one dispatch from engine kind to engine, for in-process runs and
+    /// the daemon alike.
+    pub fn run(
+        self,
+        plan: &ExecPlan,
+        trace: Option<TraceConfig>,
+        control: Option<&RunControl>,
+    ) -> Result<RunOutcome, RunError> {
+        match self {
+            EngineKind::Event => {
+                let mut eng = Engine::from_plan(plan);
+                if let Some(ctl) = control {
+                    eng = eng.with_control(ctl);
+                }
+                match trace {
+                    Some(cfg) => eng.run_traced(cfg),
+                    None => eng.run(),
+                }
+            }
+            EngineKind::Lockstep => run_lockstep_controlled(plan, control),
+            EngineKind::Sharded { threads } => {
+                run_sharded_controlled(plan, threads, Partition::DelayCut, control)
+            }
+        }
+    }
 }
 
 /// Entry point of the builder API: `Simulation::of(&guest)`.
@@ -344,10 +378,10 @@ impl ReadySimulation<'_> {
     /// routing, and the configured compute costs / fault plan, all
     /// compiled once. The plan can be executed repeatedly (and on
     /// different engines) via [`run_plan`](Self::run_plan) — sweeps
-    /// amortise the lowering across repeats — and varied in place with
-    /// [`ExecPlan::apply_delta`]: single-link delay edits, fault-plan
-    /// swaps, and compute-cost overrides each yield a plan bit-identical
-    /// to a fresh lowering, usually without rebuilding any table.
+    /// amortise the lowering across repeats. Fault and cost variants run
+    /// on an [`ExecPlan::view`]; [`ExecPlan::apply_delta`] also edits
+    /// single link delays. Each yields a plan bit-identical to a fresh
+    /// lowering, usually without rebuilding any table.
     pub fn build_plan(&self) -> Result<ExecPlan<'_>, Error> {
         let mut plan = ExecPlan::build(self.guest, self.host, &self.assignment, self.config)?;
         if let Some(costs) = &self.compute_costs {
@@ -363,18 +397,7 @@ impl ReadySimulation<'_> {
     /// `run_raw` is exactly `build_plan` + `run_plan`; calling them
     /// separately lets sweeps lower once and run many times.
     pub fn run_plan(&self, plan: &ExecPlan) -> Result<RunOutcome, Error> {
-        let out = match self.engine {
-            EngineKind::Event => {
-                let eng = Engine::from_plan(plan);
-                match self.trace {
-                    Some(cfg) => eng.run_traced(cfg)?,
-                    None => eng.run()?,
-                }
-            }
-            EngineKind::Lockstep => run_lockstep(plan)?,
-            EngineKind::Sharded { threads } => run_sharded(plan, threads)?,
-        };
-        Ok(out)
+        Ok(self.engine.run(plan, self.trace, None)?)
     }
 
     /// Execute without validating (no reference run). Returns the raw
@@ -423,7 +446,6 @@ mod tests {
     use overlap_model::ProgramKind;
     use overlap_net::topology::linear_array;
     use overlap_net::DelayModel;
-    use overlap_sim::engine::RunError;
 
     fn lab() -> (GuestSpec, HostGraph) {
         (

@@ -1,41 +1,42 @@
 //! The server-side `ExecPlan` cache.
 //!
-//! Lowering a scenario — placement, routing tables, interned hot tables —
-//! is the expensive, shareable part of a run (`BENCH_plan.json` measures
-//! the 5–8× reuse win). The daemon lowers each distinct
-//! `(guest, host, assignment, config)` exactly once and keeps the owned
-//! plan (`ExecPlan<'static>`) plus the guest's unit-delay
-//! [`ReferenceTrace`] behind the canonical scenario key from
-//! [`ScenarioSpec::plan_key`]. Fault and compute-cost variants are
-//! applied to the cached plan with `ExecPlan::apply_delta` — which is
-//! differentially pinned bit-identical to a fresh lowering — and undone
-//! with the returned inverse after the run, so the cached entry always
-//! holds the *base* plan.
+//! Lowering a scenario — routing tables, interned hot tables, the
+//! reference run — is the expensive, shareable part of a run
+//! (`BENCH_plan.json` measures the 5–8× reuse win). The daemon lowers
+//! each distinct `(guest, host, assignment, config)` exactly once and
+//! keeps the owned plan (`ExecPlan<'static>`) plus the guest's
+//! unit-delay [`ReferenceTrace`] behind the canonical scenario key from
+//! [`ScenarioSpec::plan_key`]. A cached entry never changes: each run
+//! sets its faults and compute costs on its own `ExecPlan::view` of the
+//! entry's plan, which borrows the lowered tables and leaves the entry
+//! as it was.
 //!
 //! Concurrency: the map lock is only held for lookups and empty-slot
-//! insertion; lowering happens under the per-key slot lock, so a slow
-//! lowering never blocks other keys. Runs on the same key serialize on
-//! the slot lock (deltas mutate the plan in place); runs on different
-//! keys proceed in parallel.
+//! insertion; a slot's lock is held only while its first arrival lowers
+//! it, so concurrent first arrivals lower exactly once and a slow
+//! lowering never blocks other keys. The cache hands out `Arc<Entry>`,
+//! and no lock is held while a run executes, so any number of runs —
+//! on the same key or not, paused or not — proceed in parallel.
 
 use overlap_core::{Error, ScenarioSpec};
 use overlap_model::{ReferenceRun, ReferenceTrace};
-use overlap_sim::ExecPlan;
+use overlap_sim::{Assignment, ExecPlan};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// A populated cache slot: the base plan (no faults, no cost overrides)
+/// A populated cache slot: the base plan (no faults, no compute costs)
 /// and the reference trace every run of this scenario validates against.
-struct Entry {
-    plan: ExecPlan<'static>,
-    reference: ReferenceTrace,
+pub(crate) struct Entry {
+    /// The lowered plan. Runs execute views of it, never the plan itself.
+    pub(crate) plan: ExecPlan<'static>,
+    /// The guest's unit-delay reference run.
+    pub(crate) reference: ReferenceTrace,
 }
 
 /// One key's slot. Inserted empty under the map lock; populated (lowered)
-/// by the first arrival under the slot lock, so concurrent first arrivals
-/// lower exactly once and later arrivals block only on this key.
-type Slot = Arc<Mutex<Option<Entry>>>;
+/// by the first arrival under the slot lock.
+type Slot = Arc<Mutex<Option<Arc<Entry>>>>;
 
 /// Shared plan cache with hit/miss counters.
 #[derive(Default)]
@@ -71,17 +72,17 @@ impl PlanCache {
         }
     }
 
-    /// Run `f` with the cached plan for `key`, lowering `spec` first if
-    /// this is the key's first arrival. `f` receives the mutable base
-    /// plan, the scenario's reference trace, and whether this lookup was
-    /// a cache hit; it must leave the plan in its base state (apply the
-    /// inverse of every delta it applied).
-    pub fn with_plan<R>(
+    /// The cached entry for `key`, and whether the lookup was a hit. The
+    /// key's first arrival lowers `spec` under `assignment` — the
+    /// placement `spec` was keyed with — and every later arrival gets the
+    /// same entry. A lowering that fails leaves the slot empty for the
+    /// next arrival to retry.
+    pub(crate) fn get(
         &self,
         key: &str,
         spec: &ScenarioSpec,
-        f: impl FnOnce(&mut ExecPlan<'static>, &ReferenceTrace, bool) -> R,
-    ) -> Result<R, Error> {
+        assignment: Assignment,
+    ) -> Result<(Arc<Entry>, bool), Error> {
         let (slot, hit) = {
             let mut map = self.slots.lock().unwrap();
             match map.get(key) {
@@ -100,20 +101,17 @@ impl PlanCache {
         }
         let mut guard = slot.lock().unwrap();
         if guard.is_none() {
-            let ready = spec.ready()?;
-            let assignment = ready.assignment().clone();
             let plan = ExecPlan::build_owned(
                 spec.guest.clone(),
                 spec.host.clone(),
                 assignment,
                 spec.config,
-            )
-            .map_err(Error::Run)?;
+            )?;
             let reference = ReferenceRun::execute(&spec.guest);
-            *guard = Some(Entry { plan, reference });
+            *guard = Some(Arc::new(Entry { plan, reference }));
         }
-        let entry = guard.as_mut().expect("slot populated above");
-        Ok(f(&mut entry.plan, &entry.reference, hit))
+        let entry = guard.as_ref().expect("slot populated above");
+        Ok((Arc::clone(entry), hit))
     }
 }
 
@@ -131,24 +129,19 @@ mod tests {
         )
     }
 
+    fn get(cache: &PlanCache, spec: &ScenarioSpec) -> (Arc<Entry>, bool) {
+        let (key, assignment) = spec.admit().unwrap();
+        cache.get(&key, spec, assignment).unwrap()
+    }
+
     #[test]
     fn second_lookup_is_a_hit_and_reuses_the_plan() {
         let cache = PlanCache::new();
         let spec = spec();
-        let key = spec.plan_key().unwrap();
-        let fp1 = cache
-            .with_plan(&key, &spec, |plan, _, hit| {
-                assert!(!hit);
-                plan.fingerprint()
-            })
-            .unwrap();
-        let fp2 = cache
-            .with_plan(&key, &spec, |plan, _, hit| {
-                assert!(hit);
-                plan.fingerprint()
-            })
-            .unwrap();
-        assert_eq!(fp1, fp2);
+        let (first, hit1) = get(&cache, &spec);
+        let (second, hit2) = get(&cache, &spec);
+        assert!(!hit1 && hit2);
+        assert!(Arc::ptr_eq(&first, &second));
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
     }
@@ -159,12 +152,8 @@ mod tests {
         let a = spec();
         let mut b = spec();
         b.guest.steps += 1;
-        cache
-            .with_plan(&a.plan_key().unwrap(), &a, |_, _, _| ())
-            .unwrap();
-        cache
-            .with_plan(&b.plan_key().unwrap(), &b, |_, _, _| ())
-            .unwrap();
+        get(&cache, &a);
+        get(&cache, &b);
         assert_eq!(cache.stats().entries, 2);
         assert_eq!(cache.stats().misses, 2);
     }

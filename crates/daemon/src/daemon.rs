@@ -1,30 +1,30 @@
 //! The daemon proper: session registry, worker pool, and run lifecycle.
 //!
-//! A submission is validated up front (the same builder matrix as the
-//! in-process API — invalid scenarios are rejected at the door, not at
-//! run time), keyed for the plan cache, and queued. Worker threads pull
-//! sessions off the queue, resolve the plan through [`PlanCache`]
-//! (lowering at most once per key), apply the session's fault /
-//! compute-cost deltas via `ExecPlan::apply_delta`, execute on the
-//! requested engine under a [`RunControl`], validate against the cached
-//! reference trace, persist a [`RunRecord`], and stream [`Event`]s to
-//! subscribers.
+//! A submission is validated and placed up front (the same builder
+//! matrix as the in-process API — invalid scenarios are rejected at the
+//! door, not at run time), keyed for the plan cache, and queued together
+//! with its placement. Worker threads pull sessions off the queue,
+//! resolve the plan through [`PlanCache`] (lowering at most once per key,
+//! from the queued placement), set the session's faults and compute costs
+//! on a view of the cached plan, execute on the requested engine under a
+//! [`RunControl`], validate against the cached reference trace, persist
+//! a [`RunRecord`], and stream [`Event`]s to subscribers.
 //!
 //! Session lifecycle: `Queued → Running ⇄ Paused → Done | Failed |
 //! Cancelled`. Pause and cancel are cooperative — the engine observes
 //! the control only at checkpoint boundaries, so a paused run holds all
 //! simulation state intact and a resumed run is bit-identical to an
-//! uninterrupted one. Nothing is persisted from a cancelled run.
+//! uninterrupted one. A paused run holds no cache lock, so it delays no
+//! other session, not even one of the same scenario. Nothing is
+//! persisted from a cancelled run.
 
-use crate::cache::{CacheStats, PlanCache};
+use crate::cache::{CacheStats, Entry, PlanCache};
 use crate::store::{MemStore, RunRecord, RunStore};
 use overlap_core::{EngineKind, Error, ScenarioSpec};
-use overlap_sim::engine::{Engine, RunError, RunOutcome};
+use overlap_sim::engine::{RunError, RunOutcome};
 use overlap_sim::trace::TraceConfig;
 use overlap_sim::validate::validate_run;
-use overlap_sim::{
-    run_lockstep_controlled, run_sharded_controlled, ExecPlan, PlanDelta, RunControl,
-};
+use overlap_sim::{Assignment, RunControl};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -143,12 +143,6 @@ impl Shared {
         self.cv.notify_all();
     }
 
-    fn set_status(&self, status: Status) {
-        let mut st = self.state.lock().unwrap();
-        st.status = status;
-        self.cv.notify_all();
-    }
-
     fn finish(&self, status: Status, event: Event) {
         let mut st = self.state.lock().unwrap();
         st.status = status;
@@ -164,6 +158,22 @@ struct Session {
     hash: u64,
     control: Arc<RunControl>,
     shared: Arc<Shared>,
+}
+
+impl Session {
+    /// Mark the session started: `Running`, or `Paused` when a pause
+    /// came while it was queued (the run then holds at its first
+    /// checkpoint). Read under the state lock, which `pause` and `resume`
+    /// hold while they flip the control.
+    fn start(&self) {
+        let mut st = self.state.lock().unwrap();
+        st.status = if self.control.is_paused() {
+            Status::Paused
+        } else {
+            Status::Running
+        };
+        self.cv.notify_all();
+    }
 }
 
 impl std::ops::Deref for Session {
@@ -195,7 +205,10 @@ struct Inner {
     cache: PlanCache,
     store: Box<dyn RunStore>,
     sessions: Mutex<HashMap<u64, Arc<Session>>>,
-    queue: Mutex<VecDeque<u64>>,
+    /// Queued session ids, each with the placement made at admission;
+    /// the worker lowers from it on a cache miss and drops it after the
+    /// run, so kept sessions do not hold it.
+    queue: Mutex<VecDeque<(u64, Assignment)>>,
     queue_cv: Condvar,
     next_session: AtomicU64,
     next_run: AtomicU64,
@@ -247,7 +260,7 @@ impl Daemon {
         }
         // Admission: placement + full validation matrix. The key is the
         // canonical lowering input; the hash is its display form.
-        let key = spec.plan_key()?;
+        let (key, assignment) = spec.admit()?;
         let hash = overlap_sim::fnv1a(key.as_bytes());
         let id = self.inner.next_session.fetch_add(1, Ordering::SeqCst);
         let shared = Arc::new(Shared {
@@ -278,7 +291,7 @@ impl Daemon {
             shared,
         });
         self.inner.sessions.lock().unwrap().insert(id, session);
-        self.inner.queue.lock().unwrap().push_back(id);
+        self.inner.queue.lock().unwrap().push_back((id, assignment));
         self.inner.queue_cv.notify_one();
         Ok(id)
     }
@@ -418,11 +431,11 @@ impl Drop for Daemon {
 
 fn worker_loop(inner: &Inner) {
     loop {
-        let id = {
+        let (id, assignment) = {
             let mut q = inner.queue.lock().unwrap();
             loop {
-                if let Some(id) = q.pop_front() {
-                    break id;
+                if let Some(queued) = q.pop_front() {
+                    break queued;
                 }
                 if inner.shutdown.load(Ordering::SeqCst) {
                     return;
@@ -437,27 +450,25 @@ fn worker_loop(inner: &Inner) {
             session.finish(Status::Cancelled, Event::Cancelled { at: 0 });
             continue;
         }
-        run_session(inner, &session);
+        run_session(inner, &session, assignment);
     }
 }
 
-/// Execute one session end-to-end: plan resolution, delta application,
-/// engine dispatch, validation, persistence, event emission.
-fn run_session(inner: &Inner, session: &Arc<Session>) {
-    session.set_status(Status::Running);
+/// Execute one session end-to-end: plan resolution, engine dispatch on a
+/// view of the plan, validation, persistence, event emission.
+fn run_session(inner: &Inner, session: &Arc<Session>, assignment: Assignment) {
+    session.start();
     let mut was_hit = false;
-    let result: Result<(RunOutcome, u64), Error> = inner
+    let result = inner
         .cache
-        .with_plan(&session.key, &session.spec, |plan, reference, hit| {
+        .get(&session.key, &session.spec, assignment)
+        .and_then(|(entry, hit)| {
             was_hit = hit;
             session.push(Event::Started { cache_hit: hit });
-            let outcome = run_on_plan(session, plan)?;
-            // Validate inside the slot lock: the reference belongs to
-            // the entry.
-            let errors = validate_run(reference, &outcome);
-            Ok((outcome, errors.len() as u64))
-        })
-        .and_then(|r| r);
+            let outcome = run_on_plan(session, &entry)?;
+            let mismatches = validate_run(&entry.reference, &outcome).len() as u64;
+            Ok((outcome, mismatches))
+        });
     match result {
         Ok((outcome, mismatches)) => {
             let record = RunRecord {
@@ -500,57 +511,19 @@ fn run_session(inner: &Inner, session: &Arc<Session>) {
     }
 }
 
-/// Apply the session's deltas to the cached base plan, run on the
-/// session's engine under its control, and restore the base plan.
-fn run_on_plan(session: &Arc<Session>, plan: &mut ExecPlan<'static>) -> Result<RunOutcome, Error> {
+/// Run the session on its engine, under its control, on a view of the
+/// cached plan that carries the session's faults and compute costs.
+fn run_on_plan(session: &Session, entry: &Entry) -> Result<RunOutcome, Error> {
     let spec = &session.spec;
-    // Cache-hit variants go through apply_delta — never re-lowered. Each
-    // receipt's inverse restores the base plan afterwards (also on
-    // error), keeping the entry canonical for the next session.
-    let mut inverses = Vec::new();
-    let mut apply = |plan: &mut ExecPlan<'static>, delta| -> Result<(), Error> {
-        let receipt = plan.apply_delta(delta).map_err(Error::Run)?;
-        inverses.push(receipt.inverse);
-        Ok(())
-    };
-    let mut staged: Result<(), Error> = Ok(());
+    let mut plan = entry.plan.view();
     if let Some(faults) = &spec.faults {
-        staged = apply(plan, PlanDelta::Faults(Some(faults.clone())));
+        plan = plan.with_faults(faults.clone())?;
     }
-    if staged.is_ok() {
-        if let Some(costs) = &spec.compute_costs {
-            staged = apply(plan, PlanDelta::ComputeCosts(Some(costs.clone())));
-        }
+    if let Some(costs) = &spec.compute_costs {
+        plan = plan.with_compute_costs(costs.clone());
     }
-    let result = match staged {
-        Ok(()) => dispatch(session, plan),
-        Err(e) => Err(e),
-    };
-    for inverse in inverses.into_iter().rev() {
-        plan.apply_delta(inverse)
-            .expect("inverse delta must re-apply");
-    }
-    result
-}
-
-fn dispatch(session: &Arc<Session>, plan: &ExecPlan<'static>) -> Result<RunOutcome, Error> {
-    let spec = &session.spec;
-    let ctl = &*session.control;
-    let out = match spec.engine {
-        EngineKind::Event => {
-            let eng = Engine::from_plan(plan).with_control(ctl);
-            if spec.trace {
-                eng.run_traced(TraceConfig::default())
-            } else {
-                eng.run()
-            }
-        }
-        EngineKind::Lockstep => run_lockstep_controlled(plan, Some(ctl)),
-        EngineKind::Sharded { threads } => {
-            run_sharded_controlled(plan, threads, overlap_sim::Partition::DelayCut, Some(ctl))
-        }
-    };
-    out.map_err(Error::Run)
+    let trace = spec.trace.then(TraceConfig::default);
+    Ok(spec.engine.run(&plan, trace, Some(&session.control))?)
 }
 
 fn engine_label(kind: EngineKind) -> String {

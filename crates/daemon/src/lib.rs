@@ -7,8 +7,8 @@
 //!
 //! * lowers each distinct `(guest, host, assignment, config)` **once**
 //!   into an owned `ExecPlan` held in a [`PlanCache`] — fault and
-//!   compute-cost variants are applied to the cached plan via
-//!   `ExecPlan::apply_delta` on cache hits, never re-lowered;
+//!   compute-cost variants run on their own `ExecPlan::view` of the
+//!   cached plan, never re-lowered, and concurrently with each other;
 //! * supports cooperative **pause / resume / cancel** per session
 //!   through `overlap_sim::RunControl` checkpoints, with the guarantee
 //!   that a paused-and-resumed run is bit-identical to an uninterrupted
@@ -21,8 +21,8 @@
 //!
 //! Determinism contract: the same scenario submitted N times
 //! concurrently produces results byte-identical to a sequential run —
-//! engines are deterministic, plans are immutable while running (deltas
-//! are applied and inverted under the cache's per-key lock), and control
+//! engines are deterministic, cached plans are immutable (each run
+//! writes its faults and costs into its own view), and control
 //! checkpoints never perturb the schedule.
 //!
 //! The HTTP front end ([`serve`]) speaks minimal HTTP/1.1 over

@@ -1,6 +1,7 @@
-//! Daemon end-to-end tests: the determinism contract, the plan-cache
-//! `apply_delta` path, pause/resume bit-identity, restart persistence,
-//! the HTTP round trip, and typed rejection of malformed requests.
+//! Daemon end-to-end tests: the determinism contract, fault variants on
+//! views of a cached plan, pause/resume bit-identity, a paused session
+//! not blocking its scenario, restart persistence, the HTTP round trip,
+//! and typed rejection of malformed requests.
 
 use overlap_core::{EngineKind, ScenarioSpec, Strategy};
 use overlap_daemon::{Client, Daemon, DaemonConfig, Event, JsonlStore, MemStore, Status};
@@ -99,6 +100,49 @@ fn pause_resume_mid_run_lands_on_the_same_result() {
     daemon.shutdown();
 }
 
+/// A paused session holds no lock on its cached plan: a fault variant
+/// of the same scenario, submitted while the first session is paused
+/// mid-run, completes on the second worker. Both results still match
+/// in-process runs bit for bit.
+#[test]
+fn paused_session_does_not_block_its_scenario() {
+    let a_spec = spec(16, 4000);
+    let mut b_spec = a_spec.clone();
+    b_spec.faults = Some(FaultPlan::new().link_down(2, 3, 40, 160));
+    let (a_want, b_want) = (sequential_bytes(&a_spec), sequential_bytes(&b_spec));
+    let daemon = Daemon::start(DaemonConfig {
+        workers: 2,
+        store: Box::new(MemStore::new()),
+    });
+    let a = daemon.submit(a_spec).unwrap();
+    assert!(daemon.pause(a));
+    // Wait for A to hold at a checkpoint, so it has its plan in hand.
+    let deadline = std::time::Instant::now() + WAIT;
+    while daemon.status(a).unwrap().progress == 0 {
+        assert!(std::time::Instant::now() < deadline, "A never started");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let b = daemon.submit(b_spec).unwrap();
+    assert_eq!(
+        daemon.wait(b, Duration::from_secs(20)),
+        Some(Status::Done),
+        "a fault variant must not wait for a paused run of its scenario"
+    );
+    assert_eq!(daemon.status(a).unwrap().status, Status::Paused);
+    assert!(daemon.resume(a));
+    assert_eq!(daemon.wait(a, WAIT), Some(Status::Done));
+    let runs = daemon.runs(None).unwrap();
+    let stats = |id| {
+        let r = runs.iter().find(|r| r.session == id).expect("persisted");
+        serde_json::to_string(&r.stats).unwrap()
+    };
+    assert_eq!(stats(a), a_want);
+    assert_eq!(stats(b), b_want);
+    let c = daemon.cache_stats();
+    assert_eq!((c.misses, c.hits), (1, 1), "B must ride A's cached plan");
+    daemon.shutdown();
+}
+
 #[test]
 fn cancelled_runs_persist_nothing() {
     let spec = spec(16, 4000);
@@ -117,11 +161,11 @@ fn cancelled_runs_persist_nothing() {
     daemon.shutdown();
 }
 
-/// The cache-hit path applies fault/cost deltas to the cached base plan
+/// The cache-hit path sets faults on a view of the cached base plan
 /// (never re-lowers); differential check against a fresh lowering that
 /// bakes the same faults in.
 #[test]
-fn cache_hit_apply_delta_matches_fresh_lowering() {
+fn cache_hit_view_matches_fresh_lowering() {
     let base = spec(16, 64);
     let mut faulted = base.clone();
     faulted.faults = Some(FaultPlan::new().link_down(2, 3, 40, 160));
@@ -132,10 +176,10 @@ fn cache_hit_apply_delta_matches_fresh_lowering() {
     // 1: populate the cache with the base plan.
     let a = daemon.submit(base.clone()).unwrap();
     assert_eq!(daemon.wait(a, WAIT), Some(Status::Done));
-    // 2: same plan key, faults applied via apply_delta on the cached plan.
+    // 2: same plan key, faults set on a view of the cached plan.
     let b = daemon.submit(faulted.clone()).unwrap();
     assert_eq!(daemon.wait(b, WAIT), Some(Status::Done));
-    // 3: base again — the inverse delta must have restored the plan.
+    // 3: base again — the view must have left the cached plan as it was.
     let c = daemon.submit(base).unwrap();
     assert_eq!(daemon.wait(c, WAIT), Some(Status::Done));
 
@@ -153,12 +197,12 @@ fn cache_hit_apply_delta_matches_fresh_lowering() {
     assert_eq!(
         serde_json::to_string(&runs[1].stats).unwrap(),
         fresh_faulted,
-        "apply_delta on a cache hit must match a fresh lowering with faults"
+        "a view on a cache hit must match a fresh lowering with faults"
     );
     assert_eq!(
         serde_json::to_string(&runs[2].stats).unwrap(),
         fresh_base,
-        "inverse delta must restore the base plan exactly"
+        "a view must leave the base plan exactly as it was"
     );
     assert!(runs[1].stats.faults.retries > 0, "faults must have fired");
     daemon.shutdown();

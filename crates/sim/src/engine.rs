@@ -45,7 +45,7 @@ use crate::bandwidth::BandwidthMode;
 use crate::calendar::CalendarQueue;
 use crate::control::RunControl;
 use crate::faults::{FaultMark, FaultPlan};
-use crate::plan::{ExecPlan, Routes};
+use crate::plan::{ExecPlan, Hot, Routes};
 use crate::routing::RoutingTable;
 use crate::rules::{Backend, Ev, Lane, LinkSlot, ProcState, Rules};
 use crate::stats::RunStats;
@@ -411,42 +411,18 @@ pub struct RunOutcome {
 /// NOW, cycle-accurately (see the module docs for the exact semantics).
 ///
 /// All lowering lives in [`ExecPlan`]: [`Engine::new`] builds a private
-/// plan for one-shot runs, while [`Engine::from_plan`] borrows a shared
-/// one so sweeps amortize the lowering across repeats, engines, and fault
-/// variants.
+/// plan for one-shot runs, while [`Engine::from_plan`] runs a
+/// [`view`](ExecPlan::view) of a shared one, so sweeps amortize the
+/// lowering across repeats, engines, and fault variants. Compute costs
+/// and faults live on that plan alone; the `with_*` setters write them
+/// into it.
 pub struct Engine<'a> {
-    /// The lowered plan, or the lowering error reported when the engine
-    /// runs (incomplete assignment).
-    plan: Result<PlanRef<'a>, RunError>,
-    /// Processor count, kept for cost-table validation.
-    nprocs: u32,
-    /// Ticks per pebble per processor (default all 1): models NOWs that
-    /// mix workstation generations. Beyond the paper's unit-speed model.
-    /// Overrides the plan's cost table when set.
-    compute_costs: Option<Vec<u32>>,
-    /// Deterministic fault schedule; `None` or an empty plan takes the
-    /// fault-free fast path (bit-identical to the plain engine).
-    /// Overrides the plan's fault schedule when set.
-    faults: Option<FaultPlan>,
+    /// The plan this engine runs, or the error reported when the engine
+    /// runs (incomplete assignment, or a fault plan the host rejects).
+    plan: Result<ExecPlan<'a>, RunError>,
     /// Cooperative pause/cancel control, observed every
     /// [`CHECK_EVERY`](crate::control::CHECK_EVERY) events.
     control: Option<&'a RunControl>,
-}
-
-/// An owned or borrowed execution plan (boxed when owned: the lowered
-/// tables are large, and `Engine` moves by value through the builder).
-enum PlanRef<'a> {
-    Owned(Box<ExecPlan<'a>>),
-    Shared(&'a ExecPlan<'a>),
-}
-
-impl<'a> PlanRef<'a> {
-    fn get(&self) -> &ExecPlan<'a> {
-        match self {
-            PlanRef::Owned(p) => p,
-            PlanRef::Shared(p) => p,
-        }
-    }
 }
 
 impl<'a> Engine<'a> {
@@ -460,34 +436,27 @@ impl<'a> Engine<'a> {
         config: EngineConfig,
     ) -> Self {
         Self {
-            plan: ExecPlan::build(guest, host, assign, config).map(|p| PlanRef::Owned(Box::new(p))),
-            nprocs: host.num_nodes(),
-            compute_costs: None,
-            faults: None,
+            plan: ExecPlan::build(guest, host, assign, config),
             control: None,
         }
     }
 
-    /// Execute a pre-lowered plan. The plan's compute costs and fault
-    /// schedule apply unless overridden on this engine, so one plan can be
-    /// shared across repeats, engines, and fault variants.
-    pub fn from_plan(plan: &'a ExecPlan<'a>) -> Self {
+    /// Execute a view of a pre-lowered plan: the plan's compute costs and
+    /// fault schedule apply until the `with_*` setters replace them on
+    /// the view, so one plan can be shared across repeats, engines, and
+    /// fault variants.
+    pub fn from_plan(plan: &'a ExecPlan<'_>) -> Self {
         Self {
-            nprocs: plan.host().num_nodes(),
-            plan: Ok(PlanRef::Shared(plan)),
-            compute_costs: None,
-            faults: None,
+            plan: Ok(plan.view()),
             control: None,
         }
     }
 
     /// Give each processor its own compute cost (ticks per pebble, ≥ 1).
     /// Models heterogeneous workstation speeds — an extension beyond the
-    /// paper's unit-speed processors.
+    /// paper's unit-speed processors. See [`ExecPlan::with_compute_costs`].
     pub fn with_compute_costs(mut self, costs: Vec<u32>) -> Self {
-        assert_eq!(costs.len() as u32, self.nprocs);
-        assert!(costs.iter().all(|&c| c >= 1), "costs must be ≥ 1");
-        self.compute_costs = Some(costs);
+        self.plan = self.plan.map(|p| p.with_compute_costs(costs));
         self
     }
 
@@ -496,8 +465,10 @@ impl<'a> Engine<'a> {
     /// are retried with exponential backoff, and subscriptions whose
     /// holder crashed are rerouted to the nearest surviving copy. An
     /// empty plan leaves the run bit-identical to a fault-free engine.
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
+    /// A plan naming a link or processor the host lacks makes `run`
+    /// return the error of [`ExecPlan::with_faults`].
+    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
+        self.plan = self.plan.and_then(|p| p.with_faults(faults));
         self
     }
 
@@ -514,7 +485,7 @@ impl<'a> Engine<'a> {
     /// Access the unicast routing table (for reporting). `None` when the
     /// assignment is incomplete or the engine runs in multicast mode.
     pub fn routing(&self) -> Option<&RoutingTable> {
-        self.plan.as_ref().ok().and_then(|p| p.get().routing())
+        self.plan.as_ref().ok().and_then(|p| p.routing())
     }
 
     /// Execute the simulation.
@@ -530,10 +501,7 @@ impl<'a> Engine<'a> {
     ///
     /// [`run`]: Engine::run
     pub fn run_traced(&self, cfg: TraceConfig) -> Result<RunOutcome, RunError> {
-        let plan = match &self.plan {
-            Ok(p) => p.get(),
-            Err(e) => return Err(e.clone()),
-        };
+        let plan = self.plan.as_ref().map_err(Clone::clone)?;
         // The stall tracer's per-copy conservation law assumes every pebble
         // of processor `p` takes exactly `cost_of(p)` ticks; memory-budget
         // reload penalties and per-task costs break that invariant, so
@@ -551,7 +519,7 @@ impl<'a> Engine<'a> {
                 feature: "non-uniform task graph",
             });
         }
-        let hot = &plan.hot;
+        let hot: &Hot = &plan.hot;
         let cid_of = |proc: NodeId, cell: u32| -> u32 {
             let p = proc as usize;
             let pos = hot.procs[p]
@@ -560,7 +528,7 @@ impl<'a> Engine<'a> {
                 .expect("route source holds its cell");
             hot.copy_off[p] + pos as u32
         };
-        let (sub_src, tree_src) = match &plan.routes {
+        let (sub_src, tree_src) = match &*plan.routes {
             Routes::Unicast(rt) => (
                 rt.subs.iter().map(|s| cid_of(s.source, s.cell)).collect(),
                 Vec::new(),
@@ -590,25 +558,17 @@ impl<'a> Engine<'a> {
     /// monomorphized untraced engine schedules bit-identical events to the
     /// pre-tracing engine (pinned by the golden determinism tests).
     pub fn run_with_tracer<T: Tracer>(&self, tracer: &mut T) -> Result<RunOutcome, RunError> {
-        let plan = match &self.plan {
-            Ok(p) => p.get(),
-            Err(e) => return Err(e.clone()),
-        };
-        let costs = self
-            .compute_costs
-            .as_deref()
-            .or(plan.compute_costs.as_deref());
+        let plan = self.plan.as_ref().map_err(Clone::clone)?;
         // The fault runtime is compiled only for a non-empty plan, so the
         // fault-free path schedules the exact same events in the exact
         // same order as an engine without a plan.
-        let faults = self.faults.as_ref().or(plan.faults.as_ref());
-        let rules = Rules::new(plan, faults, costs)?;
+        let rules = Rules::new(plan)?;
         let mut cr = rules.crashes();
         let mut seq = Seq {
-            state: (0..plan.hot.procs.len())
+            state: (0..rules.hot.procs.len())
                 .map(|p| rules.proc_state(p))
                 .collect(),
-            links: vec![LinkSlot::default(); plan.hot.link_delay.len()],
+            links: vec![LinkSlot::default(); rules.hot.link_delay.len()],
             queue: CalendarQueue::new(),
             peak: 0,
             lane: rules.lane(),
@@ -1259,6 +1219,28 @@ mod tests {
         let assign = Assignment::blocked(2, 2);
         let _ = Engine::new(&guest, &host, &assign, EngineConfig::default())
             .with_compute_costs(vec![1, 0]);
+    }
+
+    #[test]
+    fn engine_faults_fail_like_plan_faults() {
+        let guest = GuestSpec::array(8, ProgramKind::KvWorkload, 3, 6);
+        let host = linear_array(4, DelayModel::uniform(1, 5), 2);
+        let assign = Assignment::blocked(4, 8);
+        let plan = ExecPlan::build(&guest, &host, &assign, EngineConfig::default()).unwrap();
+        // 0–2 is not a link of the 4-node line; processor 99 does not exist.
+        for bad in [
+            FaultPlan::new().link_down(0, 2, 1, 9),
+            FaultPlan::new().crash(99, 5),
+        ] {
+            let want = plan.view().with_faults(bad.clone()).unwrap_err();
+            assert!(matches!(
+                want,
+                RunError::MissingLink { from: 0, to: 2 }
+                    | RunError::NoSuchProcessor { proc: 99, procs: 4 }
+            ));
+            let got = Engine::from_plan(&plan).with_faults(bad).run();
+            assert_eq!(got.unwrap_err(), want);
+        }
     }
 
     #[test]

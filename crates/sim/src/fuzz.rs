@@ -17,8 +17,8 @@
 //!    below;
 //! 3. on a failure, [`shrink`] greedily simplifies the spec (drop faults,
 //!    clear costs, drop jitter, flatten delays, halve the guest/host) while the
-//!    failure persists — fault- and cost-only simplifications reuse one
-//!    lowering via [`ExecPlan::apply_delta`] — and
+//!    failure persists — fault- and cost-only simplifications run on an
+//!    [`ExecPlan::view`] of one lowering — and
 //!    [`Divergence::repro_test`] prints the minimal scenario as a
 //!    paste-able regression test.
 //!
@@ -56,7 +56,7 @@ use crate::engine::{Engine, EngineConfig, Jitter, MemBudget, RunOutcome};
 use crate::engine_classic::run_classic;
 use crate::faults::FaultPlan;
 use crate::lockstep::run_lockstep;
-use crate::plan::{ExecPlan, PlanDelta};
+use crate::plan::ExecPlan;
 use crate::sharded::{run_sharded_with, Partition};
 use crate::stats::FaultStats;
 use crate::trace::TraceConfig;
@@ -830,26 +830,28 @@ pub fn check_spec(spec: &ScenarioSpec) -> Result<(), String> {
     let assign = spec.build_assignment();
 
     // One lowering feeds everything below.
-    let mut plan = match ExecPlan::build(&guest, &host, &assign, spec.config()) {
-        Ok(p) => p,
-        Err(e) => return Err(format!("plan lowering failed: {e}")),
-    };
+    let plan = ExecPlan::build(&guest, &host, &assign, spec.config())
+        .map_err(|e| format!("plan lowering failed: {e}"))?;
+    check_plan(spec, &with_inputs(spec, plan)?)
+}
+
+/// `plan` with `spec`'s compute costs and fault schedule set on it.
+fn with_inputs<'a>(spec: &ScenarioSpec, mut plan: ExecPlan<'a>) -> Result<ExecPlan<'a>, String> {
     if let Some(costs) = &spec.costs {
         plan = plan.with_compute_costs(costs.clone());
     }
     if !spec.faults.is_empty() {
-        plan = match plan.with_faults(spec.build_faults()) {
-            Ok(p) => p,
-            Err(e) => return Err(format!("fault plan rejected: {e}")),
-        };
+        plan = plan
+            .with_faults(spec.build_faults())
+            .map_err(|e| format!("fault plan rejected: {e}"))?;
     }
-    check_plan(spec, &plan)
+    Ok(plan)
 }
 
 /// Drive every engine an already-lowered plan is legal for, auditing the
 /// full invariant catalogue — the body of [`check_spec`], factored out so
-/// the shrinker can re-check fault- and cost-only candidates through
-/// [`ExecPlan::apply_delta`] on a shared plan instead of re-lowering per
+/// the shrinker can re-check fault- and cost-only candidates on an
+/// [`ExecPlan::view`] of a shared plan instead of re-lowering per
 /// candidate. `spec` must describe the plan (it is consulted for audit
 /// expectations and engine legality).
 pub fn check_plan(spec: &ScenarioSpec, plan: &ExecPlan) -> Result<(), String> {
@@ -1154,41 +1156,16 @@ fn candidates(spec: &ScenarioSpec) -> Vec<ScenarioSpec> {
     out
 }
 
-/// If `cand` differs from `cur` **only** in its fault list or **only**
-/// in its compute costs, the [`PlanDelta`] that turns `cur`'s lowered
-/// plan into `cand`'s — such candidates share `cur`'s lowering.
-fn fault_or_cost_delta(cur: &ScenarioSpec, cand: &ScenarioSpec) -> Option<PlanDelta> {
-    let same_but_faults = ScenarioSpec {
-        faults: cur.faults.clone(),
-        ..cand.clone()
-    } == *cur;
-    if same_but_faults {
-        return Some(PlanDelta::Faults(if cand.faults.is_empty() {
-            None
-        } else {
-            Some(cand.build_faults())
-        }));
-    }
-    let same_but_costs = ScenarioSpec {
-        costs: cur.costs.clone(),
-        ..cand.clone()
-    } == *cur;
-    if same_but_costs {
-        return Some(PlanDelta::ComputeCosts(cand.costs.clone()));
-    }
-    None
-}
-
 /// Greedily shrink a failing spec: repeatedly adopt the first candidate
 /// simplification that still fails, until none does. The result is the
 /// minimal failing scenario this strategy can reach, together with its
 /// failure detail.
 ///
-/// Candidates that differ from the current spec only in faults or only
-/// in compute costs are checked through [`ExecPlan::apply_delta`] on a
-/// plan lowered once per round (the delta's inverse restores it), so the
-/// most common shrink steps — dropping fault entries, clearing costs —
-/// never re-lower. Everything else goes through [`check_spec`].
+/// Candidates that differ from the current spec only in faults and
+/// compute costs are checked on a [`view`](ExecPlan::view) of a plan
+/// lowered once per round, so the most common shrink steps — dropping
+/// fault entries, clearing costs — never re-lower. Everything else goes
+/// through [`check_spec`].
 pub fn shrink(spec: &ScenarioSpec) -> (ScenarioSpec, String) {
     let mut cur = spec.clone();
     let mut detail = match check_spec(&cur) {
@@ -1203,30 +1180,17 @@ pub fn shrink(spec: &ScenarioSpec) -> (ScenarioSpec, String) {
         let guest = cur.build_guest();
         let host = cur.build_host();
         let assign = cur.build_assignment();
-        let mut base = ExecPlan::build(&guest, &host, &assign, cur.config())
-            .ok()
-            .map(|p| match &cur.costs {
-                Some(c) => p.with_compute_costs(c.clone()),
-                None => p,
-            })
-            .and_then(|p| {
-                if cur.faults.is_empty() {
-                    Some(p)
-                } else {
-                    p.with_faults(cur.build_faults()).ok()
-                }
-            });
+        let base = ExecPlan::build(&guest, &host, &assign, cur.config()).ok();
         for cand in candidates(&cur) {
-            let res = match (&mut base, fault_or_cost_delta(&cur, &cand)) {
-                (Some(plan), Some(delta)) => match plan.apply_delta(delta) {
-                    Ok(receipt) => {
-                        let r = check_plan(&cand, plan);
-                        plan.apply_delta(receipt.inverse)
-                            .expect("inverse delta must apply");
-                        r
-                    }
-                    Err(_) => check_spec(&cand),
-                },
+            let same_lowering = ScenarioSpec {
+                faults: cur.faults.clone(),
+                costs: cur.costs.clone(),
+                ..cand.clone()
+            } == cur;
+            let res = match &base {
+                Some(plan) if same_lowering => {
+                    with_inputs(&cand, plan.view()).and_then(|p| check_plan(&cand, &p))
+                }
                 _ => check_spec(&cand),
             };
             if let Err(d) = res {

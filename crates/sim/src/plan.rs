@@ -21,8 +21,10 @@
 //! [`run_sharded`], [`run_lockstep`]) instead of re-lowering, so a sweep
 //! can build the plan once per `(host, strategy)` point and share it
 //! across repeats, engines, and fault variants. The plan also carries the
-//! run's compute costs and fault schedule; engines may override them per
-//! run without re-lowering.
+//! run's compute costs and fault schedule, the only place engines read
+//! them from. A per-run variant is an [`ExecPlan::view`]: it borrows every
+//! lowered table of its parent and owns only its own faults and costs, so
+//! any number of variants of one plan can run at once.
 //!
 //! [`Engine::from_plan`]: crate::engine::Engine::from_plan
 //! [`run_sharded`]: crate::sharded::run_sharded
@@ -66,6 +68,7 @@ pub(crate) enum DepSrc {
 /// over steps: a superset wake is harmless (`try_enqueue` re-checks
 /// readiness against the step's actual check list) and cannot miss (every
 /// readiness change flows through a dependency that is in the union).
+#[derive(Clone)]
 pub(crate) struct ProcTables {
     /// Held cells (sorted).
     pub(crate) cells: Vec<u32>,
@@ -120,6 +123,7 @@ impl ProcTables {
 }
 
 /// All interned hot-path tables, built once per plan.
+#[derive(Clone)]
 pub(crate) struct Hot {
     /// Delay per directed link id.
     pub(crate) link_delay: Vec<Delay>,
@@ -398,12 +402,25 @@ impl Hot {
 }
 
 /// Which route structure a plan uses.
+#[derive(Clone)]
 pub(crate) enum Routes {
     Unicast(RoutingTable),
     Multicast(MulticastTable),
 }
 
 impl Routes {
+    /// Route every subscription of `guest` under `assign` on `host`.
+    /// Subscriptions cover the union of dependency cells over all steps
+    /// (for static guests that union IS the per-step neighbour set).
+    fn build(guest: &GuestSpec, host: &HostGraph, assign: &Assignment, multicast: bool) -> Self {
+        let deps = |c| guest.dep_union(c);
+        if multicast {
+            Routes::Multicast(MulticastTable::build_with(host, assign, deps))
+        } else {
+            Routes::Unicast(RoutingTable::build_with(host, assign, deps))
+        }
+    }
+
     pub(crate) fn inbound(&self, p: usize) -> &[(u32, u32)] {
         match self {
             Routes::Unicast(r) => &r.inbound[p],
@@ -490,8 +507,10 @@ pub struct ExecPlan<'a> {
     pub(crate) config: EngineConfig,
     pub(crate) compute_costs: Option<Vec<u32>>,
     pub(crate) faults: Option<FaultPlan>,
-    pub(crate) routes: Routes,
-    pub(crate) hot: Hot,
+    /// Owned by a lowered plan, borrowed by a [`view`](Self::view); a
+    /// link-delay delta copies them on write.
+    pub(crate) routes: Cow<'a, Routes>,
+    pub(crate) hot: Cow<'a, Hot>,
 }
 
 impl std::fmt::Debug for ExecPlan<'_> {
@@ -528,18 +547,7 @@ impl<'a> ExecPlan<'a> {
             guest.graph.is_some(),
             "Dag topology and GuestSpec::graph must come together (use GuestSpec::dag)"
         );
-        // Subscriptions cover the union of dependency cells over all steps
-        // (for static guests that union IS the per-step neighbour set, so
-        // the lowering is unchanged).
-        let routes = if config.multicast {
-            Routes::Multicast(MulticastTable::build_with(host, assign, |c| {
-                guest.dep_union(c)
-            }))
-        } else {
-            Routes::Unicast(RoutingTable::build_with(host, assign, |c| {
-                guest.dep_union(c)
-            }))
-        };
+        let routes = Routes::build(guest, host, assign, config.multicast);
         let hot = Hot::build(guest, host, assign, &routes);
         Ok(Self {
             guest: Cow::Borrowed(guest),
@@ -548,8 +556,8 @@ impl<'a> ExecPlan<'a> {
             config,
             compute_costs: None,
             faults: None,
-            routes,
-            hot,
+            routes: Cow::Owned(routes),
+            hot: Cow::Owned(hot),
         })
     }
 
@@ -564,23 +572,16 @@ impl<'a> ExecPlan<'a> {
         config: EngineConfig,
     ) -> Result<ExecPlan<'static>, RunError> {
         let plan = ExecPlan::build(&guest, &host, &assign, config)?;
-        let ExecPlan {
-            config,
-            compute_costs,
-            faults,
-            routes,
-            hot,
-            ..
-        } = plan;
+        let (routes, hot) = (plan.routes.into_owned(), plan.hot.into_owned());
         Ok(ExecPlan {
             guest: Cow::Owned(guest),
             host: Cow::Owned(host),
             assign: Cow::Owned(assign),
             config,
-            compute_costs,
-            faults,
-            routes,
-            hot,
+            compute_costs: None,
+            faults: None,
+            routes: Cow::Owned(routes),
+            hot: Cow::Owned(hot),
         })
     }
 
@@ -595,14 +596,36 @@ impl<'a> ExecPlan<'a> {
             config: self.config,
             compute_costs: self.compute_costs,
             faults: self.faults,
-            routes: self.routes,
-            hot: self.hot,
+            routes: Cow::Owned(self.routes.into_owned()),
+            hot: Cow::Owned(self.hot.into_owned()),
+        }
+    }
+
+    /// A per-run variant of this plan: it borrows every lowered table
+    /// (guest, host, assignment, routes, interned tables) and starts with
+    /// a copy of this plan's compute costs and fault schedule, which
+    /// [`with_compute_costs`](Self::with_compute_costs) /
+    /// [`with_faults`](Self::with_faults) then replace. Nothing done to
+    /// the view reaches this plan: an [`apply_delta`](Self::apply_delta)
+    /// that edits a link delay copies the touched tables first. A view
+    /// runs bit-identically to a plan lowered fresh with the same inputs.
+    pub fn view(&self) -> ExecPlan<'_> {
+        ExecPlan {
+            guest: Cow::Borrowed(&self.guest),
+            host: Cow::Borrowed(&self.host),
+            assign: Cow::Borrowed(&self.assign),
+            config: self.config,
+            compute_costs: self.compute_costs.clone(),
+            faults: self.faults.clone(),
+            routes: Cow::Borrowed(&self.routes),
+            hot: Cow::Borrowed(&self.hot),
         }
     }
 
     /// Attach per-processor compute costs (ticks per pebble, ≥ 1) to the
-    /// plan. Costs do not affect the lowering, only execution, so engines
-    /// may also override them per run.
+    /// plan, replacing any it had. Costs do not affect the lowering, only
+    /// execution, so variants of one plan share it through
+    /// [`view`](Self::view).
     pub fn with_compute_costs(mut self, costs: Vec<u32>) -> Self {
         assert_eq!(costs.len() as u32, self.host.num_nodes());
         assert!(costs.iter().all(|&c| c >= 1), "costs must be ≥ 1");
@@ -610,10 +633,11 @@ impl<'a> ExecPlan<'a> {
         self
     }
 
-    /// Attach a deterministic fault plan. Faults do not affect the
-    /// lowering (routes and tables are for the healthy network; recovery
-    /// re-routes at runtime), so one plan can be shared across fault
-    /// variants via [`Engine::with_faults`].
+    /// Attach a deterministic fault plan, replacing any it had. Faults do
+    /// not affect the lowering (routes and tables are for the healthy
+    /// network; recovery re-routes at runtime), so fault variants of one
+    /// plan share it through [`view`](Self::view) or
+    /// [`Engine::with_faults`].
     ///
     /// The plan is validated against the host here: an outage or spike on
     /// a link the host does not have fails with [`RunError::MissingLink`],
@@ -668,7 +692,7 @@ impl<'a> ExecPlan<'a> {
     /// The unicast routing table (for reporting); `None` when the plan
     /// was lowered for multicast trees.
     pub fn routing(&self) -> Option<&RoutingTable> {
-        match &self.routes {
+        match &*self.routes {
             Routes::Unicast(r) => Some(r),
             Routes::Multicast(_) => None,
         }
@@ -711,7 +735,9 @@ impl<'a> ExecPlan<'a> {
     ///
     /// The receipt's [`inverse`](AppliedDelta::inverse) restores the
     /// prior plan state; a delta-applied plan is always bit-identical to
-    /// a fresh lowering of the same inputs, on every engine.
+    /// a fresh lowering of the same inputs, on every engine. Applied to a
+    /// [`view`](Self::view), a delta never reaches the parent plan: the
+    /// host, routes and tables are copied before they are edited.
     ///
     /// Fails with [`RunError::MissingLink`] when the named link does not
     /// exist; the fault variant validates like `with_faults`.
@@ -765,22 +791,24 @@ impl<'a> ExecPlan<'a> {
                 let is_tree =
                     self.host.num_links() as u32 == n.saturating_sub(1) && self.host.is_connected();
                 let fwd = (2 * li) as u32; // directed ids 2i / 2i+1
+                let unicast = matches!(*self.routes, Routes::Unicast(_));
                 let fast = is_tree
                     || (delay > old
-                        && matches!(self.routes, Routes::Unicast(_))
+                        && unicast
                         && !self.hot.sub_links.iter().any(|&l| l == fwd || l == fwd + 1));
                 self.host.to_mut().set_link_delay(lo, hi, delay);
                 if fast {
-                    self.hot.link_delay[fwd as usize] = delay;
-                    self.hot.link_delay[fwd as usize + 1] = delay;
-                    if let Routes::Unicast(rt) = &mut self.routes {
-                        // Patch unicast route totals (tree case; on the
-                        // unused-link path every count is zero). Routes are
-                        // simple paths, so a link is crossed at most once.
+                    let hot = self.hot.to_mut();
+                    hot.link_delay[fwd as usize] = delay;
+                    hot.link_delay[fwd as usize + 1] = delay;
+                    // Patch unicast route totals (tree case; on the
+                    // unused-link path every count is zero). Routes are
+                    // simple paths, so a link is crossed at most once.
+                    if let Some(Routes::Unicast(rt)) = unicast.then(|| self.routes.to_mut()) {
                         for (sid, sub) in rt.subs.iter_mut().enumerate() {
-                            let r = self.hot.sub_link_off[sid] as usize
-                                ..self.hot.sub_link_off[sid + 1] as usize;
-                            let uses = self.hot.sub_links[r]
+                            let r =
+                                hot.sub_link_off[sid] as usize..hot.sub_link_off[sid + 1] as usize;
+                            let uses = hot.sub_links[r]
                                 .iter()
                                 .filter(|&&l| l == fwd || l == fwd + 1)
                                 .count() as u64;
@@ -792,19 +820,11 @@ impl<'a> ExecPlan<'a> {
                         relowered: false,
                     })
                 } else {
-                    let routes = if self.config.multicast {
-                        Routes::Multicast(MulticastTable::build_with(
-                            &self.host,
-                            &self.assign,
-                            |c| self.guest.dep_union(c),
-                        ))
-                    } else {
-                        Routes::Unicast(RoutingTable::build_with(&self.host, &self.assign, |c| {
-                            self.guest.dep_union(c)
-                        }))
-                    };
-                    self.hot = Hot::build(&self.guest, &self.host, &self.assign, &routes);
-                    self.routes = routes;
+                    let routes =
+                        Routes::build(&self.guest, &self.host, &self.assign, self.config.multicast);
+                    self.hot =
+                        Cow::Owned(Hot::build(&self.guest, &self.host, &self.assign, &routes));
+                    self.routes = Cow::Owned(routes);
                     Ok(AppliedDelta {
                         inverse,
                         relowered: true,
@@ -820,7 +840,7 @@ impl<'a> ExecPlan<'a> {
 /// with equal keys lower to byte-identical plans, so a plan cache may
 /// serve both from one entry; fault schedules and compute costs are
 /// deliberately **excluded** — they never affect the lowering and are
-/// applied per run via [`ExecPlan::apply_delta`].
+/// set per run on an [`ExecPlan::view`].
 pub fn scenario_key(
     guest: &GuestSpec,
     host: &HostGraph,
@@ -923,6 +943,41 @@ mod tests {
         assert!(!plan.faults().unwrap().is_empty());
         let out = plan.run().unwrap();
         assert!(out.stats.makespan > 0);
+    }
+
+    #[test]
+    fn views_never_reach_the_base_plan() {
+        use crate::sharded::run_sharded;
+        let (guest, host, assign) = lab();
+        let base = ExecPlan::build(&guest, &host, &assign, EngineConfig::default()).unwrap();
+        let outcomes = |p: &ExecPlan| (p.run().unwrap(), run_sharded(p, 2).unwrap());
+        let before = outcomes(&base);
+        let varied = base
+            .view()
+            .with_compute_costs(vec![1, 3, 1, 2])
+            .with_faults(FaultPlan::new().link_down(1, 2, 3, 20))
+            .unwrap();
+        // The line is a tree, so this delta patches the borrowed tables,
+        // which must be copied first.
+        let mut delayed = base.view();
+        let receipt = delayed
+            .apply_delta(PlanDelta::LinkDelay {
+                a: 1,
+                b: 2,
+                delay: 40,
+            })
+            .unwrap();
+        assert!(!receipt.relowered);
+        assert_ne!(outcomes(&varied), before);
+        assert_ne!(outcomes(&delayed), before);
+        let mut slow = host.clone();
+        slow.set_link_delay(1, 2, 40);
+        let fresh = ExecPlan::build(&guest, &slow, &assign, EngineConfig::default()).unwrap();
+        assert_eq!(outcomes(&delayed), outcomes(&fresh));
+        // With both variants still alive, the base runs as before.
+        assert_eq!(outcomes(&base), before);
+        assert!(base.faults().is_none() && base.compute_costs().is_none());
+        assert_eq!(base.host().links(), host.links());
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //! the hot path has no dynamic dispatch.
 
 use crate::engine::{CopyRecord, RunError, RunOutcome, TimingTrace};
-use crate::faults::{FaultMark, FaultMarkKind, FaultPlan, FaultRt};
-use crate::plan::{DepSrc, ExecPlan, ProcTables, Routes, SUB_BIT};
+use crate::faults::{FaultMark, FaultMarkKind, FaultRt};
+use crate::plan::{DepSrc, ExecPlan, Hot, ProcTables, Routes, SUB_BIT};
 use crate::stats::{FaultStats, MemStats, RunStats};
 use crate::trace::{MsgKey, ReadyCause, Tracer};
 use overlap_model::{fold64, BoundaryRule, Db, DbUpdate, PebbleValue, ProgramRef};
@@ -396,6 +396,10 @@ enum Sent {
 /// Immutable per-run context of the event rules, shared by every shard.
 pub(crate) struct Rules<'p, 'a> {
     pub(crate) plan: &'p ExecPlan<'a>,
+    /// The plan's interned tables and routes, bound once so the
+    /// per-event path never looks through the plan's copy-on-write cells.
+    pub(crate) hot: &'p Hot,
+    routes: &'p Routes,
     frt: Option<FaultRt>,
     program: ProgramRef,
     boundary: BoundaryRule,
@@ -410,19 +414,17 @@ pub(crate) struct Rules<'p, 'a> {
 }
 
 impl<'p, 'a> Rules<'p, 'a> {
-    /// Compile the rules for `plan` under `faults` (an empty plan takes
-    /// the fault-free path) and per-processor compute `costs`.
-    pub(crate) fn new(
-        plan: &'p ExecPlan<'a>,
-        faults: Option<&FaultPlan>,
-        costs: Option<&'p [u32]>,
-    ) -> Result<Self, RunError> {
-        let frt = match faults {
+    /// Compile the rules for `plan` under its fault schedule (an empty
+    /// one takes the fault-free path) and per-processor compute costs.
+    pub(crate) fn new(plan: &'p ExecPlan<'a>) -> Result<Self, RunError> {
+        let frt = match &plan.faults {
             Some(fp) if !fp.is_empty() => Some(FaultRt::build(fp, &plan.host)?),
             _ => None,
         };
         Ok(Self {
             plan,
+            hot: &plan.hot,
+            routes: &plan.routes,
             frt,
             program: plan.guest.program.instantiate(),
             boundary: plan.guest.boundary(),
@@ -431,7 +433,7 @@ impl<'p, 'a> Rules<'p, 'a> {
             stride: plan.guest.steps as usize + 1,
             record_timing: plan.config.record_timing,
             n_orig_subs: plan.hot.sub_link_off.len() - 1,
-            costs,
+            costs: plan.compute_costs.as_deref(),
             has_task_costs: plan.guest.has_nonunit_task_costs(),
             has_relays: plan.guest.graph.is_some(),
         })
@@ -440,7 +442,7 @@ impl<'p, 'a> Rules<'p, 'a> {
     /// Fresh run state of processor `p`.
     pub(crate) fn proc_state(&self, p: usize) -> ProcState {
         let kind = self.program.db_kind();
-        ProcState::seed(&self.plan.hot.procs[p], self.plan, self.stride, kind)
+        ProcState::seed(&self.hot.procs[p], self.plan, self.stride, kind)
     }
 
     /// Fresh crash state (nothing crashed).
@@ -490,7 +492,7 @@ impl<'p, 'a> Rules<'p, 'a> {
     /// Seed: enqueue every initially-ready pebble and start every
     /// processor, in processor order.
     pub(crate) fn seed<B: Backend, T: Tracer>(&self, b: &mut B, tr: &mut T) {
-        for (p, pt) in self.plan.hot.procs.iter().enumerate() {
+        for (p, pt) in self.hot.procs.iter().enumerate() {
             let st = b.proc(p);
             for i in 0..pt.cells.len() {
                 try_enqueue(pt, st, i, self.steps, p as NodeId, 0, ReadyCause::Local, tr);
@@ -509,7 +511,7 @@ impl<'p, 'a> Rules<'p, 'a> {
         tick: u64,
         ev: Ev,
     ) -> Result<(), RunError> {
-        let hot = &self.plan.hot;
+        let hot = self.hot;
         match ev {
             Ev::ComputeDone { proc, own_idx } => self.compute_done(cr, b, tr, tick, proc, own_idx),
             Ev::Arrival {
@@ -548,7 +550,7 @@ impl<'p, 'a> Rules<'p, 'a> {
                 step,
                 value,
             } => {
-                let Routes::Multicast(mt) = &self.plan.routes else {
+                let Routes::Multicast(mt) = &self.routes else {
                     unreachable!("tree hop in unicast mode");
                 };
                 let t = &mt.trees[tree as usize];
@@ -605,7 +607,7 @@ impl<'p, 'a> Rules<'p, 'a> {
         if self.frt.is_some() && cr.crashed[p] {
             return Ok(());
         }
-        let (hot, steps, stride) = (&self.plan.hot, self.steps, self.stride);
+        let (hot, steps, stride) = (self.hot, self.steps, self.stride);
         let i = own_idx as usize;
         let pt = &hot.procs[p];
         let mut deps = std::mem::take(&mut b.lane().deps);
@@ -657,7 +659,7 @@ impl<'p, 'a> Rules<'p, 'a> {
         // this column's routes, in classic scan order.
         let cid = hot.copy_off[p] as usize + i;
         let routes = &hot.out_ids[hot.out_off[cid] as usize..hot.out_off[cid + 1] as usize];
-        match &self.plan.routes {
+        match &self.routes {
             Routes::Unicast(_) => {
                 for &sid in routes {
                     let llo = hot.sub_link_off[sid as usize] as usize;
@@ -719,7 +721,7 @@ impl<'p, 'a> Rules<'p, 'a> {
         value: PebbleValue,
         msg: MsgKey,
     ) {
-        let (pt, steps) = (&self.plan.hot.procs[p], self.steps);
+        let (pt, steps) = (&self.hot.procs[p], self.steps);
         let st = b.proc(p);
         let base = k * self.stride;
         st.dep_values[base + step as usize] = value;
@@ -755,7 +757,7 @@ impl<'p, 'a> Rules<'p, 'a> {
         let jj = j as usize;
         let mut d = self.costs.map_or(1, |c| c[p] as u64);
         if self.has_task_costs {
-            let cell = self.plan.hot.procs[p].cells[jj];
+            let cell = self.hot.procs[p].cells[jj];
             d *= self.plan.guest.task_cost(cell, st.next_step[jj]) as u64;
         }
         if let Some(m) = st.mem.as_mut() {
@@ -785,7 +787,7 @@ impl<'p, 'a> Rules<'p, 'a> {
         slot.traffic += 1;
         let depart = inject(slot, now, self.bw);
         tr.on_link_inject(lid, depart);
-        let delay = self.plan.hot.link_delay[lid as usize];
+        let delay = self.hot.link_delay[lid as usize];
         let base = self.plan.config.jitter.effective(delay, lid, depart);
         let Some(f) = self.frt.as_ref() else {
             return Ok(Sent::Arrives(depart + base));
@@ -834,7 +836,7 @@ impl<'p, 'a> Rules<'p, 'a> {
         value: PebbleValue,
         attempt: u32,
     ) -> Result<(), RunError> {
-        let hot = &self.plan.hot;
+        let hot = self.hot;
         let sid = sub as usize;
         let lid = if sid < self.n_orig_subs {
             hot.sub_links[hot.sub_link_off[sid] as usize + hop as usize - 1]
@@ -880,7 +882,7 @@ impl<'p, 'a> Rules<'p, 'a> {
         value: PebbleValue,
         attempt: u32,
     ) -> Result<(), RunError> {
-        let hot = &self.plan.hot;
+        let hot = self.hot;
         let lid = hot.tree_edge_lid[tree as usize][node as usize];
         let l = lid as usize;
         match self.transmit(b, tr, now, lid, MsgKey::Tree { tree, step }, attempt)? {
@@ -920,7 +922,7 @@ impl<'p, 'a> Rules<'p, 'a> {
         tick: u64,
         proc: NodeId,
     ) -> Result<(), RunError> {
-        let (plan, hot) = (self.plan, &self.plan.hot);
+        let (plan, hot) = (self.plan, self.hot);
         let f = self.frt.as_ref().expect("crash implies fault plan");
         let p = proc as usize;
         if cr.crashed[p] {
@@ -962,7 +964,7 @@ impl<'p, 'a> Rules<'p, 'a> {
         }
 
         let mut orphans: Vec<(u32, NodeId, u32)> = Vec::new();
-        match &plan.routes {
+        match self.routes {
             Routes::Unicast(rt) => {
                 for (sid, sub) in rt.subs.iter().enumerate() {
                     if sub.source == proc && !cr.crashed[sub.dest as usize] {
@@ -1073,7 +1075,7 @@ impl<'p, 'a> Rules<'p, 'a> {
             cr.crashed[p] = true;
             tr.on_crash(proc);
             lane.faults.crashed_procs += 1;
-            lane.faults.lost_copies += self.plan.hot.procs[p].cells.len() as u32;
+            lane.faults.lost_copies += self.hot.procs[p].cells.len() as u32;
             if self.record_timing {
                 lane.timeline.push(FaultMark {
                     tick: at,

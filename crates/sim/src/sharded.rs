@@ -422,7 +422,7 @@ impl Backend for Barrier<'_, '_, '_, '_> {
     }
 
     fn link(&mut self, lid: u32) -> &mut LinkSlot {
-        let src = self.env.rules.plan.hot.link_src[lid as usize];
+        let src = self.env.rules.hot.link_src[lid as usize];
         &mut self.shard(src).link_slots[lid as usize]
     }
 
@@ -696,9 +696,9 @@ pub fn run_sharded_controlled(
     how: Partition,
     control: Option<&crate::control::RunControl>,
 ) -> Result<RunOutcome, RunError> {
-    let hot = &plan.hot;
     let n = plan.host.num_nodes() as usize;
-    let rules = Rules::new(plan, plan.faults.as_ref(), plan.compute_costs.as_deref())?;
+    let rules = Rules::new(plan)?;
+    let hot = rules.hot;
     let jitter = plan.config.jitter;
     let max_ticks = plan.config.max_ticks;
 
