@@ -9,6 +9,8 @@
 //!   into an owned `ExecPlan` held in a [`PlanCache`] — fault and
 //!   compute-cost variants run on their own `ExecPlan::view` of the
 //!   cached plan, never re-lowered, and concurrently with each other;
+//!   the cache keeps at most [`DEFAULT_CACHE_BYTES`] and evicts the least
+//!   recently used plans beyond that;
 //! * supports cooperative **pause / resume / cancel** per session
 //!   through `overlap_sim::RunControl` checkpoints, with the guarantee
 //!   that a paused-and-resumed run is bit-identical to an uninterrupted
@@ -39,7 +41,7 @@ pub mod http;
 pub mod store;
 pub mod wire;
 
-pub use cache::{CacheStats, PlanCache};
+pub use cache::{CacheStats, PlanCache, DEFAULT_CACHE_BYTES};
 pub use client::{Client, ClientError};
 pub use daemon::{Daemon, DaemonConfig, Event, SessionView, Status};
 pub use http::{serve, Server};

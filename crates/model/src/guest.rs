@@ -503,6 +503,12 @@ impl GuestSpec {
         self.topology.num_cells()
     }
 
+    /// Heap bytes the spec owns: only a task-graph guest's graph; every
+    /// other topology is inline.
+    pub fn heap_bytes(&self) -> usize {
+        self.graph.as_ref().map_or(0, TaskGraph::heap_bytes)
+    }
+
     /// Total guest work: one pebble per cell per step (relay slots of a
     /// task graph count — the host still computes them).
     pub fn total_work(&self) -> u64 {

@@ -35,6 +35,12 @@ pub mod reference;
 pub mod taskgraph;
 pub mod transform;
 
+/// Heap bytes a `Vec` holds: its capacity, not its length, since that is
+/// what the allocator handed out.
+pub(crate) fn vec_bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
+}
+
 pub use boundary::BoundaryRule;
 pub use database::{fold64, mix64, Db, DbKind, DbUpdate, KvShard};
 pub use guest::{Dep, DepList, GuestSpec, GuestTopology, Side};

@@ -87,6 +87,11 @@ impl PebbleGrid {
         self.steps
     }
 
+    /// Heap bytes of the value array.
+    pub fn heap_bytes(&self) -> usize {
+        crate::vec_bytes(&self.values)
+    }
+
     #[inline]
     fn index(&self, id: PebbleId) -> usize {
         debug_assert!(id.cell < self.cells, "cell out of range: {id:?}");

@@ -12,6 +12,7 @@ use crate::database::{fold64, Db};
 use crate::guest::{Dep, GuestSpec};
 use crate::pebble::{PebbleGrid, PebbleId, PebbleValue};
 use crate::program::ProgramRef;
+use crate::vec_bytes;
 
 /// The complete ground truth of a guest run.
 #[derive(Debug, Clone)]
@@ -32,6 +33,15 @@ impl ReferenceTrace {
     /// Value of pebble `id` in the ground truth.
     pub fn value(&self, id: PebbleId) -> PebbleValue {
         self.grid.get(id)
+    }
+
+    /// Heap bytes the trace owns: the pebble grid, the two digest arrays
+    /// and its copy of the spec.
+    pub fn heap_bytes(&self) -> usize {
+        self.spec.heap_bytes()
+            + self.grid.heap_bytes()
+            + vec_bytes(&self.final_db_digest)
+            + vec_bytes(&self.update_log_digest)
     }
 }
 

@@ -25,6 +25,7 @@
 
 use crate::database::mix64;
 use crate::guest::{Dep, GuestTopology, Side};
+use crate::vec_bytes;
 use serde::{Deserialize, Serialize};
 
 /// Handle of a task added to a [`DagBuilder`] (its insertion index).
@@ -112,6 +113,14 @@ impl TaskGraph {
     fn slot(&self, db: u32, layer: u32) -> usize {
         debug_assert!(db < self.num_dbs && 1 <= layer && layer <= self.layers);
         db as usize * self.layers as usize + (layer as usize - 1)
+    }
+
+    /// Heap bytes the graph owns (its dependency, cost and relay tables).
+    pub fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.deps)
+            + vec_bytes(&self.dep_off)
+            + vec_bytes(&self.costs)
+            + vec_bytes(&self.relay)
     }
 
     /// Number of lanes (databases).

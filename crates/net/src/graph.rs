@@ -64,6 +64,18 @@ impl HostGraph {
         self.links.len()
     }
 
+    /// Heap bytes the graph owns: its name, link list and adjacency lists,
+    /// by capacity.
+    pub fn heap_bytes(&self) -> usize {
+        fn vec_bytes<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        self.name.capacity()
+            + vec_bytes(&self.links)
+            + vec_bytes(&self.adj)
+            + self.adj.iter().map(vec_bytes).sum::<usize>()
+    }
+
     /// Add an undirected link with the given delay (≥1 enforced).
     ///
     /// # Panics

@@ -91,6 +91,12 @@ impl Assignment {
         Self::from_cells_of(num_procs, num_cells, cells_of)
     }
 
+    /// Heap bytes the assignment owns: both per-processor and per-cell
+    /// lists, by capacity.
+    pub fn heap_bytes(&self) -> usize {
+        crate::nested_bytes(&self.cells_of) + crate::nested_bytes(&self.holders)
+    }
+
     /// Number of host processors.
     pub fn num_procs(&self) -> u32 {
         self.num_procs

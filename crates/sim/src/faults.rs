@@ -44,6 +44,7 @@
 //! SplitMix64 stream keyed by `(seed, link)`.
 
 use crate::engine::RunError;
+use crate::vec_bytes;
 use overlap_net::{HostGraph, NodeId};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -154,6 +155,11 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
+    /// Heap bytes of the outage, spike and crash lists.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.outages) + vec_bytes(&self.spikes) + vec_bytes(&self.crashes)
+    }
+
     /// An empty plan (injects nothing; the engine's fast path).
     pub fn new() -> Self {
         Self::default()

@@ -53,6 +53,35 @@ pub mod sweep;
 pub mod trace;
 pub mod validate;
 
+/// Heap bytes a `Vec` holds: its capacity, not its length, since that is
+/// what the allocator handed out.
+pub(crate) fn vec_bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
+}
+
+/// Heap bytes of a `Vec<Vec<T>>`: the outer buffer plus every inner one.
+pub(crate) fn nested_bytes<T>(v: &Vec<Vec<T>>) -> usize {
+    vec_bytes(v) + v.iter().map(vec_bytes).sum::<usize>()
+}
+
+/// Heap bytes of a `HashMap`'s table. std's SwissTable holds a
+/// power-of-two number of buckets (`capacity + 1` below 8, else
+/// `capacity / 7 * 8`); the slots, padded to 16, are followed by one
+/// control byte per bucket and one trailing control group (16 bytes with
+/// SSE2; 8 elsewhere, which this overstates by 8 bytes per map).
+pub(crate) fn map_bytes<K, V>(m: &std::collections::HashMap<K, V>) -> usize {
+    let cap = m.capacity();
+    if cap == 0 {
+        return 0;
+    }
+    let buckets = if cap < 8 {
+        (cap + 1).next_power_of_two()
+    } else {
+        cap / 7 * 8
+    };
+    (buckets * std::mem::size_of::<(K, V)>()).next_multiple_of(16) + buckets + 16
+}
+
 pub use assignment::Assignment;
 pub use bandwidth::BandwidthMode;
 pub use control::RunControl;

@@ -9,7 +9,8 @@
 //! points. The E12d ablation measures the traffic difference.
 
 use crate::assignment::Assignment;
-use crate::routing::RoutingTable;
+use crate::routing::{by_cell_bytes, RoutingTable};
+use crate::{map_bytes, nested_bytes, vec_bytes};
 use overlap_model::GuestTopology;
 use overlap_net::paths::dijkstra;
 use overlap_net::{HostGraph, NodeId};
@@ -154,6 +155,23 @@ impl MulticastTable {
             outbound_by_cell,
             inbound,
         }
+    }
+
+    /// Heap bytes of the trees (node lists, child lists, index maps) and
+    /// the per-processor route lists.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let tree = |t: &MulticastTree| {
+            vec_bytes(&t.nodes)
+                + nested_bytes(&t.children)
+                + vec_bytes(&t.parent)
+                + vec_bytes(&t.deliver)
+                + map_bytes(&t.index_of)
+        };
+        vec_bytes(&self.trees)
+            + self.trees.iter().map(tree).sum::<usize>()
+            + nested_bytes(&self.outbound)
+            + by_cell_bytes(&self.outbound_by_cell)
+            + nested_bytes(&self.inbound)
     }
 
     /// Total tree links (the per-pebble traffic; always ≤ the unicast

@@ -35,6 +35,7 @@ use crate::engine::{EngineConfig, RunError, RunOutcome};
 use crate::faults::FaultPlan;
 use crate::multicast::MulticastTable;
 use crate::routing::RoutingTable;
+use crate::{nested_bytes, vec_bytes};
 use overlap_model::{Dep, GuestSpec, Side};
 use overlap_net::{Delay, HostGraph, NodeId};
 use std::borrow::Cow;
@@ -120,6 +121,28 @@ impl ProcTables {
             &self.dyn_checks[self.dyn_check_off[k] as usize..self.dyn_check_off[k + 1] as usize]
         }
     }
+
+    fn heap_bytes(&self) -> usize {
+        [
+            &self.cells,
+            &self.dep_cells,
+            &self.gather_off,
+            &self.checks,
+            &self.check_off,
+            &self.own_dependents,
+            &self.own_dep_off,
+            &self.dep_dependents,
+            &self.dep_dep_off,
+            &self.dyn_gather_off,
+            &self.dyn_checks,
+            &self.dyn_check_off,
+        ]
+        .into_iter()
+        .map(vec_bytes)
+        .sum::<usize>()
+            + vec_bytes(&self.gather)
+            + vec_bytes(&self.dyn_gather)
+    }
 }
 
 /// All interned hot-path tables, built once per plan.
@@ -157,6 +180,28 @@ pub(crate) struct Hot {
 }
 
 impl Hot {
+    fn heap_bytes(&self) -> usize {
+        [
+            &self.copy_off,
+            &self.out_ids,
+            &self.out_off,
+            &self.sub_links,
+            &self.sub_link_off,
+            &self.sub_dest,
+            &self.sub_dest_dep,
+        ]
+        .into_iter()
+        .map(vec_bytes)
+        .sum::<usize>()
+            + vec_bytes(&self.link_delay)
+            + vec_bytes(&self.link_src)
+            + vec_bytes(&self.link_dst)
+            + vec_bytes(&self.procs)
+            + self.procs.iter().map(ProcTables::heap_bytes).sum::<usize>()
+            + nested_bytes(&self.tree_edge_lid)
+            + nested_bytes(&self.tree_deliver_dep)
+    }
+
     fn build(guest: &GuestSpec, host: &HostGraph, assign: &Assignment, routes: &Routes) -> Self {
         let n = host.num_nodes();
         let is_static = guest.is_static();
@@ -418,6 +463,13 @@ impl Routes {
             Routes::Multicast(MulticastTable::build_with(host, assign, deps))
         } else {
             Routes::Unicast(RoutingTable::build_with(host, assign, deps))
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        match self {
+            Routes::Unicast(r) => r.heap_bytes(),
+            Routes::Multicast(m) => m.heap_bytes(),
         }
     }
 
@@ -701,6 +753,32 @@ impl<'a> ExecPlan<'a> {
     /// Number of subscriptions (unicast routes or multicast deliveries).
     pub fn num_subscriptions(&self) -> usize {
         self.routes.num_subscriptions()
+    }
+
+    /// Heap bytes this plan owns, by capacity: every input and table it
+    /// holds as `Cow::Owned`, plus its compute costs and fault schedule.
+    /// A [`view`](Self::view) borrows its parent's tables, so it counts
+    /// only what it copied or set itself; a [`build_owned`](Self::build_owned)
+    /// plan counts everything the daemon's plan cache keeps alive.
+    pub fn heap_bytes(&self) -> usize {
+        let mut bytes = self.compute_costs.as_ref().map_or(0, vec_bytes)
+            + self.faults.as_ref().map_or(0, FaultPlan::heap_bytes);
+        if let Cow::Owned(guest) = &self.guest {
+            bytes += guest.heap_bytes();
+        }
+        if let Cow::Owned(host) = &self.host {
+            bytes += host.heap_bytes();
+        }
+        if let Cow::Owned(assign) = &self.assign {
+            bytes += assign.heap_bytes();
+        }
+        if let Cow::Owned(routes) = &self.routes {
+            bytes += routes.heap_bytes();
+        }
+        if let Cow::Owned(hot) = &self.hot {
+            bytes += hot.heap_bytes();
+        }
+        bytes
     }
 
     /// Convenience: execute this plan on the event engine.

@@ -11,6 +11,7 @@
 //! (§3.2), generalized to arbitrary hosts.
 
 use crate::assignment::Assignment;
+use crate::{nested_bytes, vec_bytes};
 use overlap_model::GuestTopology;
 use overlap_net::paths::dijkstra;
 use overlap_net::{HostGraph, NodeId};
@@ -142,11 +143,31 @@ impl RoutingTable {
         self.subs.len()
     }
 
+    /// Heap bytes of the table: subscriptions with their paths, and the
+    /// per-processor route lists.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.subs)
+            + self.subs.iter().map(|s| vec_bytes(&s.path)).sum::<usize>()
+            + nested_bytes(&self.outbound)
+            + by_cell_bytes(&self.outbound_by_cell)
+            + nested_bytes(&self.inbound)
+    }
+
     /// Largest route delay over all subscriptions (a lower bound on any
     /// cross-interval communication latency in the run).
     pub fn max_route_delay(&self) -> u64 {
         self.subs.iter().map(|s| s.delay).max().unwrap_or(0)
     }
+}
+
+/// Heap bytes of a per-processor `(cell, ids)` grouping.
+pub(crate) fn by_cell_bytes(by_cell: &Vec<Vec<(u32, Vec<u32>)>>) -> usize {
+    nested_bytes(by_cell)
+        + by_cell
+            .iter()
+            .flatten()
+            .map(|(_, ids)| vec_bytes(ids))
+            .sum::<usize>()
 }
 
 /// Group each processor's outbound route ids by source column: sorted

@@ -481,8 +481,12 @@ fn client_main(cmd: &str, args: &[String]) -> ! {
         "cache" => {
             let c = client.cache().unwrap_or_else(|e| fail(e));
             println!(
-                "plan cache: {} hits, {} misses, {} cached plan(s)",
-                c.hits, c.misses, c.entries
+                "plan cache: {} hits, {} misses, {} cached plan(s), {} evictions, {:.2} MiB",
+                c.hits,
+                c.misses,
+                c.entries,
+                c.evictions,
+                c.bytes as f64 / (1 << 20) as f64
             );
             exit(0)
         }
